@@ -50,15 +50,15 @@ class AffineSpace:
                     dirs.append(v)
         dirs.sort()
         self.directions = dirs
+        self._dir_array = np.array(dirs)
         self.dir_index = {d: i for i, d in enumerate(dirs)}
         self.ndirs = len(dirs)  # (q^n - 1)/(q - 1)
+        self.nlabels = q ** (n - 1)  # lines per direction
         # line point table: _line_pts[dir_id][base_idx] -> tuple of q indices
         self._line_pts_cache: dict = {}
         self._canon_cache: dict = {}
         self._perp: list | None = None
-        self._np_add = None
-        self._np_mul = None
-        self._line_tables: dict = {}
+        self._np_tables = None
 
     # -- coordinates --
 
@@ -108,31 +108,30 @@ class AffineSpace:
         return pts
 
     def _field_tables(self):
-        if self._np_add is None:
+        """(add, mul, neg) lookup arrays over element codes."""
+        if self._np_tables is None:
             q = self.q
             ctx = self.ctx
             if ctx.k == 1:
                 grid = np.arange(q)
-                self._np_add = (grid[:, None] + grid[None, :]) % q
-                self._np_mul = (grid[:, None] * grid[None, :]) % q
+                add = (grid[:, None] + grid[None, :]) % q
+                mul = (grid[:, None] * grid[None, :]) % q
             else:
-                self._np_add = np.array(
+                add = np.array(
                     [[ctx.add(a, b) for b in range(q)] for a in range(q)],
                     dtype=np.int64,
                 )
-                self._np_mul = np.array(
+                mul = np.array(
                     [[ctx.mul(a, b) for b in range(q)] for a in range(q)],
                     dtype=np.int64,
                 )
-        return self._np_add, self._np_mul
+            self._np_tables = (add, mul, np.argmax(add == 0, axis=1))
+        return self._np_tables
 
     def line_table(self, dir_id: int) -> np.ndarray:
         """(npoints, q) array: row p lists the points of the line through p
-        with the given direction, in t order."""
-        tab = self._line_tables.get(dir_id)
-        if tab is not None:
-            return tab
-        addt, mult = self._field_tables()
+        with the given direction, in t order (not cached: q^(n+1) entries)."""
+        addt, mult, _ = self._field_tables()
         q = self.q
         d = self.directions[dir_id]
         coords = np.empty((self.npoints, self.n), dtype=np.int64)
@@ -151,8 +150,34 @@ class AffineSpace:
                 acc += col * mul
                 mul *= q
             tab[:, t] = acc
-        self._line_tables[dir_id] = tab
         return tab
+
+    def line_labels(self, dir_id: int) -> np.ndarray:
+        """Label in [0, nlabels) of the line with the given direction
+        through each point: two points share a label exactly when they lie
+        on the same line.
+
+        With k the first nonzero coordinate of d (so d_k = 1), the line
+        through x meets the hyperplane x_k = 0 at y = x - x_k*d; the label
+        packs the other n-1 coordinates of y base q."""
+        addt, mult, neg = self._field_tables()
+        q, n = self.q, self.n
+        d = self.directions[dir_id]
+        k = d.index(1)
+        # point indices are a C-order grid whose axis n-1-i is coordinate i
+        labels = np.zeros((q,) * n, dtype=np.int64)
+        for j, i in enumerate(i for i in range(n) if i != k):
+            y = addt[:, mult[neg, d[i]]]  # y[x_i, x_k] = x_i - x_k*d_i
+            shape = [1] * n
+            shape[n - 1 - i] = shape[n - 1 - k] = q
+            labels = labels + (y.T if i < k else y).reshape(shape) * q ** j
+        return labels.ravel()
+
+    def line_bases(self, labels: np.ndarray) -> np.ndarray:
+        """Least point index on each line, indexed by label."""
+        bases = np.full(self.nlabels, self.npoints)
+        np.minimum.at(bases, labels, np.arange(self.npoints))
+        return bases
 
     def canonical_line(self, dir_id: int, point_idx: int):
         """The line through point_idx with the given direction, as
@@ -173,18 +198,11 @@ class AffineSpace:
 
     def all_lines(self):
         """Every affine line exactly once, in canonical (dir, base) order."""
-        out = []
-        for d in range(self.ndirs):
-            seen = bytearray(self.npoints)
-            for p in range(self.npoints):
-                if seen[p]:
-                    continue
-                pts = self.line_points(d, p)
-                for x in pts:
-                    seen[x] = 1
-                out.append((d, min(pts)))
-        out.sort()
-        return out
+        return [
+            (d, int(b))
+            for d in range(self.ndirs)
+            for b in np.sort(self.line_bases(self.line_labels(d)))
+        ]
 
     # -- planes (n = 3); a plane is (normal_dir_id, offset) --
 
@@ -200,10 +218,12 @@ class AffineSpace:
         if self._perp is None:
             self._perp = [None] * self.ndirs
         if self._perp[dir_id] is None:
+            addt, mult, _ = self._field_tables()
             d = self.directions[dir_id]
-            self._perp[dir_id] = tuple(
-                i for i, m in enumerate(self.directions) if self.dot(m, d) == 0
-            )
+            acc = np.zeros(self.ndirs, dtype=np.int64)
+            for i in range(self.n):
+                acc = addt[acc, mult[self._dir_array[:, i], d[i]]]
+            self._perp[dir_id] = tuple(int(i) for i in np.flatnonzero(acc == 0))
         return self._perp[dir_id]
 
     def all_planes(self):
@@ -225,32 +245,14 @@ class AffineSpace:
     def lines_in_plane(self, plane):
         """The q(q+1) lines contained in a plane, canonical order."""
         assert self.n == 3
-        m, c = plane
-        normal = self.directions[m]
+        on_plane = np.array(self.plane_points(plane))
         out = []
-        for d in range(self.ndirs):
-            if self.dot(normal, self.directions[d]) != 0:
-                continue
-            seen = set()
-            for p in self.points():
-                if p in seen:
-                    continue
-                if self.dot(normal, self.coords(p)) != c:
-                    continue
-                pts = self.line_points(d, p)
-                seen.update(pts)
-                out.append((d, min(pts)))
+        for d in self.perp_dir_ids(plane[0]):
+            labels = self.line_labels(d)
+            bases = self.line_bases(labels)[np.unique(labels[on_plane])]
+            out.extend((d, int(b)) for b in bases)
         out.sort()
         return out
-
-    def project_from_point(self, point_idx: int):
-        """Bijection from the lines through a point onto PG(2,q) points
-        (each line maps to its normalized direction vector)."""
-        assert self.n == 3
-        return {
-            self.canonical_line(d, point_idx): self.directions[d]
-            for d in range(self.ndirs)
-        }
 
 
 @lru_cache(maxsize=None)

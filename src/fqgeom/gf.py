@@ -243,10 +243,6 @@ class FieldCtx:
             raise WrongDegree("conjugation requires k = 2")
         return self.pow(a, self.p)
 
-    # scalar from the prime subfield, embedded as a constant
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
     def _build_tables(self):
         q = self.q
         self._add_table = [0] * (q * q)

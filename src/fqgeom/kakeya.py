@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, inf
 
+import numpy as np
+
 from .geom import PointSet, affine_space
 from .poly import (
     DegreeCap,
@@ -66,14 +68,13 @@ def verify_kakeya(pset: PointSet):
     witness = {}
     missing = []
     for d in range(sp.ndirs):
-        tab = sp.line_table(d)
-        contained = pset.mask[tab].all(axis=1)
-        hit = contained.argmax() if contained.any() else None
-        if hit is None:
-            missing.append(d)
+        labels = sp.line_labels(d)
+        contained = np.bincount(labels[pset.mask], minlength=sp.nlabels) == pset.q
+        if contained.any():
+            # the first point on a contained line is that line's least point
+            witness[d] = (d, int(np.argmax(contained[labels])))
         else:
-            pts = tab[int(hit)]
-            witness[d] = (d, int(pts.min()))
+            missing.append(d)
     if missing:
         return MissingDirections(pset.q, missing)
     return KakeyaWitness(pset.q, pset, witness)

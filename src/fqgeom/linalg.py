@@ -56,11 +56,6 @@ def nullspace_vector_mod_p(mat: np.ndarray, p: int):
     return v
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    _, pivots = rref_mod_p(mat, p)
-    return len(pivots)
-
-
 # -- generic (any FieldCtx) scalar elimination for small systems --
 
 def rref_ctx(rows, ctx: FieldCtx):

@@ -68,18 +68,19 @@ def verify_nikodym(pset: PointSet):
     injective automatically (a line determines its unique complement
     point).  Returns NikodymWitness or FailingPoints."""
     sp = affine_space(pset.q, pset.n)
-    comp = (~pset.mask).astype(np.int64)
-    self_comp = comp.copy()  # required complement count on the line at p
+    comp = ~pset.mask
+    self_comp = comp.astype(np.int64)  # required complement count on the line at p
     ok = np.zeros(sp.npoints, dtype=bool)
     assignment = {}
     for d in range(sp.ndirs):
-        tab = sp.line_table(d)
-        cnt = comp[tab].sum(axis=1)
+        if ok.all():  # later directions cannot change ok or the assignment
+            break
+        labels = sp.line_labels(d)
+        cnt = np.bincount(labels[comp], minlength=sp.nlabels)[labels]
         good = cnt == self_comp
-        for p in np.nonzero(good & ~ok)[0]:
-            p = int(p)
-            if comp[p] and p not in assignment:
-                assignment[p] = sp.canonical_line(d, p)
+        bases = sp.line_bases(labels)
+        for p in np.flatnonzero(good & ~ok & comp):
+            assignment[int(p)] = (d, int(bases[labels[p]]))
         ok |= good
     if not ok.all():
         return FailingPoints(pset.q, [int(p) for p in np.nonzero(~ok)[0]])
