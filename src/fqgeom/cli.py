@@ -221,17 +221,17 @@ def cmd_hermitian_build(args) -> dict:
 
 
 def cmd_hermitian_tangent(args) -> dict:
-    from .geom import LineFamily, affine_space
-    from .hermitian import build_hermitian, build_tangent_line_family, identity_hermitian
+    from .hermitian import (
+        affine_chart_family, build_hermitian, build_tangent_line_family,
+        identity_hermitian,
+    )
     from .io import save_linefamily
-    from .nikodym import _hermitian_family
 
     V = build_hermitian(identity_hermitian(args.p, 3), 3)
     fam, rep = build_tangent_line_family(V, Fraction(args.alpha), args.seed)
     ok = rep["nL"] == rep["nL_expected"]
     if args.out:
-        aff, _ = _hermitian_family(args.p ** 2, Fraction(args.alpha), args.seed)
-        save_linefamily(aff, args.out)
+        save_linefamily(affine_chart_family(fam), args.out)
     return {"rows": [
         _row("hermitian-tangent-family",
              "distinct tangent lines, one bundle per sampled variety point; "

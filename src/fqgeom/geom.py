@@ -13,7 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from .gf import FieldCtx, field_of_order, NonPrime
+from .gf import TABLE_LIMIT, FieldCtx, field_of_order, NonPrime
+from .linalg import nullspace
 
 
 class UnsupportedField(ValueError):
@@ -38,6 +39,8 @@ class AffineSpace:
             self.ctx: FieldCtx = field_of_order(q)
         except NonPrime as e:
             raise UnsupportedField(str(e))
+        if q > TABLE_LIMIT:
+            raise UnsupportedField(f"q = {q} exceeds the field-table limit {TABLE_LIMIT}")
         self.q = q
         self.n = n
         self.npoints = q ** n
@@ -58,7 +61,6 @@ class AffineSpace:
         self._line_pts_cache: dict = {}
         self._canon_cache: dict = {}
         self._perp: list | None = None
-        self._np_tables = None
 
     # -- coordinates --
 
@@ -107,31 +109,10 @@ class AffineSpace:
         self._line_pts_cache[key] = pts
         return pts
 
-    def _field_tables(self):
-        """(add, mul, neg) lookup arrays over element codes."""
-        if self._np_tables is None:
-            q = self.q
-            ctx = self.ctx
-            if ctx.k == 1:
-                grid = np.arange(q)
-                add = (grid[:, None] + grid[None, :]) % q
-                mul = (grid[:, None] * grid[None, :]) % q
-            else:
-                add = np.array(
-                    [[ctx.add(a, b) for b in range(q)] for a in range(q)],
-                    dtype=np.int64,
-                )
-                mul = np.array(
-                    [[ctx.mul(a, b) for b in range(q)] for a in range(q)],
-                    dtype=np.int64,
-                )
-            self._np_tables = (add, mul, np.argmax(add == 0, axis=1))
-        return self._np_tables
-
     def line_table(self, dir_id: int) -> np.ndarray:
         """(npoints, q) array: row p lists the points of the line through p
         with the given direction, in t order (not cached: q^(n+1) entries)."""
-        addt, mult, _ = self._field_tables()
+        addt, mult = self.ctx.add_table, self.ctx.mul_table
         q = self.q
         d = self.directions[dir_id]
         coords = np.empty((self.npoints, self.n), dtype=np.int64)
@@ -160,7 +141,8 @@ class AffineSpace:
         With k the first nonzero coordinate of d (so d_k = 1), the line
         through x meets the hyperplane x_k = 0 at y = x - x_k*d; the label
         packs the other n-1 coordinates of y base q."""
-        addt, mult, neg = self._field_tables()
+        ctx = self.ctx
+        addt, mult, neg = ctx.add_table, ctx.mul_table, ctx.neg_table
         q, n = self.q, self.n
         d = self.directions[dir_id]
         k = d.index(1)
@@ -206,19 +188,12 @@ class AffineSpace:
 
     # -- planes (n = 3); a plane is (normal_dir_id, offset) --
 
-    def dot(self, u, v) -> int:
-        ctx = self.ctx
-        acc = 0
-        for a, b in zip(u, v):
-            acc = ctx.add(acc, ctx.mul(a, b))
-        return acc
-
     def perp_dir_ids(self, dir_id: int):
         """Ids of normalized vectors orthogonal to the given direction."""
         if self._perp is None:
             self._perp = [None] * self.ndirs
         if self._perp[dir_id] is None:
-            addt, mult, _ = self._field_tables()
+            addt, mult = self.ctx.add_table, self.ctx.mul_table
             d = self.directions[dir_id]
             acc = np.zeros(self.ndirs, dtype=np.int64)
             for i in range(self.n):
@@ -233,14 +208,14 @@ class AffineSpace:
     def plane_points(self, plane):
         m, c = plane
         normal = self.directions[m]
-        return [p for p in self.points() if self.dot(normal, self.coords(p)) == c]
+        return [p for p in self.points() if self.ctx.dot(normal, self.coords(p)) == c]
 
     def planes_through_line(self, line):
         """The q+1 planes of AG(3,q) containing an affine line."""
         assert self.n == 3
         dir_id, base = line
         b = self.coords(base)
-        return [(m, self.dot(self.directions[m], b)) for m in self.perp_dir_ids(dir_id)]
+        return [(m, self.ctx.dot(self.directions[m], b)) for m in self.perp_dir_ids(dir_id)]
 
     def lines_in_plane(self, plane):
         """The q(q+1) lines contained in a plane, canonical order."""
@@ -402,13 +377,6 @@ class ProjSpace:
         inv = ctx.inv(first)
         return tuple(ctx.mul(inv, x) for x in vec)
 
-    def dot(self, u, v) -> int:
-        ctx = self.ctx
-        acc = 0
-        for a, b in zip(u, v):
-            acc = ctx.add(acc, ctx.mul(a, b))
-        return acc
-
     def line_points(self, u, v):
         """Point tuples of the projective line through distinct points u, v."""
         ctx = self.ctx
@@ -435,14 +403,12 @@ class ProjSpace:
         return out
 
     def hyperplane_points(self, coeffs):
-        return [x for x in self.points if self.dot(coeffs, x) == 0]
+        return [x for x in self.points if self.ctx.dot(coeffs, x) == 0]
 
     def hyperplanes_through_line(self, u, v):
         """Normalized coefficient vectors of hyperplanes containing both."""
-        from .linalg import nullspace_basis_ctx
-
-        basis = nullspace_basis_ctx([list(u), list(v)], self.ctx)
         ctx = self.ctx
+        basis = nullspace([u, v], ctx).tolist()
         out = set()
         for a in range(self.q):
             for b in range(self.q):
@@ -479,6 +445,6 @@ def max_line_coincidence(q: int, line_coeffs) -> int:
     pg = proj_space(q, 2)
     best = 0
     for x in pg.points:
-        c = sum(1 for ln in line_coeffs if pg.dot(ln, x) == 0)
+        c = sum(1 for ln in line_coeffs if pg.ctx.dot(ln, x) == 0)
         best = max(best, c)
     return best

@@ -2,12 +2,21 @@
 
 Elements are plain ints in [0, q): the coefficient vector of the element
 written in the polynomial basis, packed base-p (least significant digit =
-constant coefficient).  All operations go through a FieldCtx, which is
-immutable after construction and safe to share.
+constant coefficient), so the prime subfield's element c has code c.  All
+operations go through a FieldCtx, which is immutable after construction
+and safe to share.
+
+A FieldCtx of order at most TABLE_LIMIT also holds the array kernel: numpy
+lookup tables over element codes, in the manner of the galois library's
+lookup-table fields, that geometry, elimination and interpolation index
+with whole arrays.  They are built once, from the scalar reference
+arithmetic ``_add_raw``/``_mul_raw``.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 class NonPrime(ValueError):
@@ -27,9 +36,8 @@ class WrongDegree(ValueError):
 
 
 MAX_ORDER = 1 << 20
-# full add/mul lookup tables are built below this order (extension fields only)
-_TABLE_LIMIT = 256
-_INV_TABLE_LIMIT = 1 << 16
+# largest order with array tables; the add, mul and pow tables are q x q
+TABLE_LIMIT = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -136,15 +144,13 @@ class FieldCtx:
                     break
             if self.modulus is None:  # pragma: no cover - cannot happen
                 raise NoIrreducibleFound(f"no irreducible of degree {k} over GF({p})")
-        self._mul_table = None
-        self._add_table = None
-        self._inv_table = None
-        if k > 1 and q <= _TABLE_LIMIT:
-            self._build_tables()
-        if q <= _INV_TABLE_LIMIT:
-            self._inv_table = [0] * q
-            for a in range(1, q):
-                self._inv_table[a] = self._pow_raw(a, q - 2)
+        self.add_table = self.mul_table = self.pow_table = None
+        self.neg_table = self.inv_table = None
+        # plain-int mirrors of the tables for the scalar methods: a list
+        # lookup costs a fraction of a numpy element lookup
+        self._add = self._mul = self._neg = self._inv = None
+        if q <= TABLE_LIMIT:
+            self._build_arrays()
 
     # -- encoding --
 
@@ -170,23 +176,25 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
+        if self._add is not None:
+            return self._add[a * self.q + b]
         return self._add_raw(a, b)
 
     def _add_raw(self, a, b):
+        """Digit-wise sum; also elementwise on numpy arrays of codes."""
         out = 0
         mul = 1
         for _ in range(self.k):
-            out += ((a + b) % self.p) * mul
-            a //= self.p
-            b //= self.p
+            out = out + ((a + b) % self.p) * mul
+            a, b = a // self.p, b // self.p
             mul *= self.p
         return out
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        if self._neg is not None:
+            return self._neg[a]
         out = 0
         mul = 1
         for _ in range(self.k):
@@ -201,8 +209,8 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
+        if self._mul is not None:
+            return self._mul[a * self.q + b]
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a, b):
@@ -230,8 +238,8 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self._inv is not None:
+            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -243,14 +251,62 @@ class FieldCtx:
             raise WrongDegree("conjugation requires k = 2")
         return self.pow(a, self.p)
 
-    def _build_tables(self):
+    def dot(self, u, v) -> int:
+        """Sum of the products of corresponding entries of u and v."""
+        acc = 0
+        for a, b in zip(u, v):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+    # -- array kernel: elementwise on numpy arrays of codes, broadcasting --
+
+    def vmul(self, a, b):
+        """Elementwise product a*b."""
+        if self.k == 1:
+            return (a * b) % self.p
+        return self.mul_table[a, b]
+
+    def vsubmul(self, a, b, c):
+        """Elementwise a - b*c; on prime fields one reduction mod p."""
+        if self.k == 1:
+            return (a - b * c) % self.p
+        return self.add_table[a, self.neg_table[self.mul_table[b, c]]]
+
+    def _build_arrays(self):
+        """The q x q add, mul and pow tables (pow_table[a, e] = a^e for
+        0 <= e < q, with 0^0 = 1) and the neg and inv vectors (inv[0] = 0).
+        Addition is the reference applied to whole arrays; multiplication
+        goes through the powers of a generator of the multiplicative group,
+        each taken with the reference _mul_raw."""
         q = self.q
-        self._add_table = [0] * (q * q)
-        self._mul_table = [0] * (q * q)
-        for a in range(q):
-            for b in range(q):
-                self._add_table[a * q + b] = self._add_raw(a, b)
-                self._mul_table[a * q + b] = self._mul_raw(a, b)
+        codes = np.arange(q, dtype=np.int64)
+        add = self._add_raw(codes[:, None], codes[None, :])
+        # exp lists the powers of g; stop at the first g whose powers reach
+        # all q-1 units (g = 1 for q = 2)
+        for g in range(min(2, q - 1), q):
+            exp = [1]
+            while (nxt := self._mul_raw(exp[-1], g)) != 1:
+                exp.append(nxt)
+            if len(exp) == q - 1:
+                break
+        exp = np.array(exp, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        pw = exp[(log[:, None] * codes[None, :]) % (q - 1)]
+        pw[0, :] = 0
+        pw[0, 0] = 1
+        inv = exp[-log % (q - 1)]
+        inv[0] = 0
+        self.add_table, self.mul_table, self.pow_table = add, mul, pw
+        self.neg_table = np.argmax(add == 0, axis=1)
+        self.inv_table = inv
+        self._inv = inv.tolist()
+        if self.k > 1:
+            self._add = add.ravel().tolist()
+            self._mul = mul.ravel().tolist()
+            self._neg = self.neg_table.tolist()
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k})"

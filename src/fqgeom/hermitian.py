@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .gf import FieldCtx, make_field
-from .geom import proj_space
-from .linalg import nullspace_basis_ctx, rank_ctx
+from .geom import LineFamily, affine_space, proj_space
+from .linalg import rref
 
 
 class NotHermitian(ValueError):
@@ -75,22 +75,11 @@ class HermitianMatrix:
         """The vector H * conj(x)."""
         ctx = self.ctx
         xc = [ctx.conj(v) for v in x]
-        return tuple(
-            _dotrow(ctx, row, xc) for row in self.entries
-        )
+        return tuple(ctx.dot(row, xc) for row in self.entries)
 
     def form(self, x, y) -> int:
         """x^T H conj(y)."""
-        ctx = self.ctx
-        hy = self.apply_conj(y)
-        return _dotrow(ctx, x, hy)
-
-
-def _dotrow(ctx, row, vec):
-    acc = 0
-    for a, b in zip(row, vec):
-        acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
+        return self.ctx.dot(x, self.apply_conj(y))
 
 
 def identity_hermitian(p: int, n: int) -> HermitianMatrix:
@@ -146,23 +135,18 @@ def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
     ctx = H.ctx
     pg = proj_space(ctx.q, n)
     pts = [x for x in pg.points if H.form(x, x) == 0]
-    r = rank_ctx([list(row) for row in H.entries], ctx)
+    r = len(rref(H.entries, ctx)[1])
     singular = []
     if r < n + 1:
-        # c^T H = 0  <=>  H^T c = 0; conjugate-symmetry makes the flat the
-        # same as the kernel of x -> H conj(x) up to conjugation
+        # c^T H = 0  <=>  H^T c = 0: a kernel of dimension n+1-r
         cols = [[H.entries[i][j] for i in range(n + 1)] for j in range(n + 1)]
-        basis = nullspace_basis_ctx(cols, ctx)
-        seen = set()
-        for x in pg.points:
-            # membership in span(basis): solve by checking c^T H = 0 directly
-            row = [_dotrow(ctx, x, [H.entries[i][j] for i in range(n + 1)])
-                   for j in range(n + 1)]
-            if all(v == 0 for v in row):
-                if x not in seen:
-                    seen.add(x)
-                    singular.append(x)
-        assert basis, "rank-deficient matrix must have a kernel"
+        singular = [x for x in pg.points
+                    if all(ctx.dot(x, col) == 0 for col in cols)]
+        expected = (ctx.q ** (n + 1 - r) - 1) // (ctx.q - 1)
+        if len(singular) != expected:
+            raise AssertionError(
+                f"{len(singular)} singular points; rank {r} needs {expected}"
+            )
     return HermitianVariety(H, n, pts, r, singular)
 
 
@@ -335,3 +319,25 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
         "max_plane_occupancy": max_occ,
     }
     return fam, report
+
+
+def affine_chart_family(family: TangentLineFamily) -> LineFamily:
+    """The lines of a tangent-line family in PG(3,q) that leave the
+    hyperplane x0 = 0, as lines of AG(3,q) through the x0 = 1 chart."""
+    sp = affine_space(family.V.q, 3)
+    ctx = sp.ctx
+    fam = LineFamily(sp)
+    for ln in family.lines:
+        finite = [x for x in ln if x[0] != 0]
+        if len(finite) < 2:
+            continue
+        # x = (1, a1, a2, a3) after scaling by x0^{-1}
+        aff = []
+        for x in finite:
+            inv = ctx.inv(x[0])
+            aff.append(tuple(ctx.mul(inv, v) for v in x[1:]))
+        d = sp.dir_index[sp.normalize_dir(
+            tuple(ctx.sub(a, b) for a, b in zip(aff[0], aff[1]))
+        )]
+        fam.add(sp.canonical_line(d, sp.index(aff[0])))
+    return fam

@@ -347,7 +347,7 @@ def _hermitian_family(q: int, alpha, seed: int):
     """Affine restriction of a Hermitian tangent-line family: projective
     tangent lines mapped into AG(3,q) through the x0 = 1 chart."""
     from .hermitian import (
-        NonSquareField, build_hermitian, build_tangent_line_family,
+        affine_chart_family, build_hermitian, build_tangent_line_family,
         identity_hermitian,
     )
 
@@ -363,25 +363,9 @@ def _hermitian_family(q: int, alpha, seed: int):
         raise GeneratorInfeasible(f"sqrt(q) = {r} must be prime for this generator")
     V = build_hermitian(identity_hermitian(p, 3), 3)
     fam_proj, rep = build_tangent_line_family(V, alpha, seed)
-    sp = affine_space(q, 3)
-    ctx = sp.ctx
-    fam = LineFamily(sp)
-    for ln in fam_proj.lines:
-        finite = [x for x in ln if x[0] != 0]
-        if len(finite) < 2:
-            continue
-        # x = (1, a1, a2, a3) after scaling by x0^{-1}
-        aff = []
-        for x in finite:
-            inv = ctx.inv(x[0])
-            aff.append(tuple(ctx.mul(inv, v) for v in x[1:]))
-        d = sp.dir_index[sp.normalize_dir(
-            tuple(ctx.sub(a, b) for a, b in zip(aff[0], aff[1]))
-        )]
-        fam.add(sp.canonical_line(d, sp.index(aff[0])))
     extra = {"alpha": str(Fraction(alpha)), "uncovered": rep["uncovered_variety_points"],
              "coveredProjective": rep["covered_projective"]}
-    return fam, extra
+    return affine_chart_family(fam_proj), extra
 
 
 def write_records(instances, path: str):

@@ -21,7 +21,7 @@ from math import comb, inf
 import numpy as np
 
 from .gf import FieldCtx, field_of_order
-from .linalg import nullspace_vector_mod_p, nullspace_basis_ctx
+from .linalg import nullspace
 
 
 class InfeasibleCount(ValueError):
@@ -403,35 +403,35 @@ def is_identically_zero_on_space(g: MultiPoly) -> bool:
 def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None):
     """Rows of the homogeneous system: one row per (point, beta) with
     |beta| < mult; entry for basis monomial alpha is
-    prod binom(alpha_i, beta_i) * a^(alpha-beta).  Prime fields only
-    (vectorized)."""
+    prod binom(alpha_i, beta_i) * a^(alpha-beta), the coefficient of
+    x^beta in the shift of x^alpha by a.  Any GF(q): the binomials mod p
+    are prime-subfield codes, and powers come from the field's pow table."""
     ctx = ctx if ctx is not None else field_of_order(basis.q)
-    assert ctx.k == 1
     p = ctx.p
     q = basis.q
     n = basis.n
     E = np.array(basis.exponents, dtype=np.int64)  # N x n
-    maxdeg = q  # exponents < q
+    # binom(i, j) = 0 for j > i, which zeroes the monomials with alpha_i < beta_i
     binom_tab = np.array(
-        [[comb(i, j) % p for j in range(maxdeg)] for i in range(maxdeg)],
-        dtype=np.int64,
+        [[comb(i, j) % p for j in range(q)] for i in range(q)], dtype=np.int64
     )
-    pow_tab = np.array(
-        [[pow(v, e, p) for e in range(maxdeg)] for v in range(q)], dtype=np.int64
-    )
+    factors = {}  # (i, a_i, beta_i) -> the factor of variable i in every entry
+
+    def factor(i, ai, bi):
+        f = factors.get((i, ai, bi))
+        if f is None:
+            ei = E[:, i]
+            f = ctx.vmul(binom_tab[ei, bi], ctx.pow_table[ai, np.maximum(ei - bi, 0)])
+            factors[(i, ai, bi)] = f
+        return f
+
     rows = []
     for coords, mult in points_with_mult:
         for d in range(mult):
             for beta in _degrees(n, d):
-                row = np.ones(len(basis), dtype=np.int64)
-                ok = np.ones(len(basis), dtype=bool)
-                for i in range(n):
-                    ei = E[:, i]
-                    bi = beta[i]
-                    ok &= ei >= bi
-                    w = binom_tab[ei, bi] * pow_tab[coords[i], np.maximum(ei - bi, 0)]
-                    row = (row * w) % p
-                row[~ok] = 0
+                row = factor(0, coords[0], beta[0])
+                for i in range(1, n):
+                    row = ctx.vmul(row, factor(i, coords[i], beta[i]))
                 rows.append(row)
     if not rows:
         return np.zeros((0, len(basis)), dtype=np.int64)
@@ -445,7 +445,8 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
 
     Raises InfeasibleCount when the counting hypothesis
     |S1|*binom(m1+n-1,n) + |S2|*binom(m2+n-1,n) < #basis fails; the
-    returned polynomial is re-verified against multiplicity_at at every
+    returned polynomial is the first kernel basis vector of the
+    constraint matrix, re-verified against multiplicity_at at every
     constrained point."""
     from .geom import PointSet
 
@@ -474,30 +475,10 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
         )
     ctx = field_of_order(q)
     constraints = [(c, m1) for c in pts1] + [(c, m2) for c in pts2]
-    if ctx.k == 1:
-        A = constraint_rows_matrix(basis, constraints, ctx)
-        v = nullspace_vector_mod_p(A, ctx.p) if A.shape[0] else None
-        if v is None:
-            # no rows at all: free choice, or (impossible) full-rank square
-            v = np.zeros(len(basis), dtype=np.int64)
-            v[0] = 1
-        g = MultiPoly(basis, v, ctx)
-    else:
-        rows = []
-        for coords, mult in constraints:
-            probe = MultiPoly(basis, np.zeros(len(basis), dtype=np.int64), ctx)
-            for d in range(mult):
-                for beta in _degrees(n, d):
-                    row = []
-                    for e in basis.exponents:
-                        probe.coeffs[:] = 0
-                        probe.coeffs[basis.index[e]] = 1
-                        row.append(probe.shifted_coefficient(coords, beta))
-                    rows.append(row)
-        kern = nullspace_basis_ctx(rows, ctx, ncols=len(basis))
-        assert kern, "kernel empty despite count check"
-        g = MultiPoly(basis, kern[0], ctx)
-    assert not g.is_zero()
+    # fewer rows than columns, so the kernel is not zero; the copy lets
+    # the rest of the kernel basis be freed
+    kernel = nullspace(constraint_rows_matrix(basis, constraints, ctx), ctx)
+    g = MultiPoly(basis, kernel[0].copy(), ctx)
     for coords, mult in constraints:
         got = multiplicity_at(g, coords)
         if got < mult:

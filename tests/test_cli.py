@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,11 @@ def test_suite_deterministic(tmp_path, capsys):
     assert all(r["status"] in ("pass", "reported") for r in data["rows"])
     assert all("claim" in r for r in data["rows"])
     assert (tmp_path / "suite.json.timing").exists()
+
+
+def test_suite_stdout_matches_committed_output(capsys):
+    # the output of `fqgeom suite --max-q 5 --seed 1` is pinned byte for byte
+    golden = Path(__file__).parent / "data" / "suite_max_q5_seed1.json"
+    code, out = run(["suite", "--max-q", "5", "--seed", "1"], capsys)
+    assert code == 0
+    assert out.encode() == golden.read_bytes()

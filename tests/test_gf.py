@@ -45,6 +45,23 @@ def test_field_axioms_exhaustive(p, k):
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
+def test_array_tables_match_scalar_reference(p, k):
+    ctx = make_field(p, k)
+    q = ctx.q
+    for a in range(q):
+        assert ctx._add_raw(a, int(ctx.neg_table[a])) == 0
+        if a:
+            assert ctx._mul_raw(a, int(ctx.inv_table[a])) == 1
+        acc = 1
+        for e in range(q):
+            assert ctx.pow_table[a, e] == acc  # 0^0 = 1
+            acc = ctx._mul_raw(acc, a)
+        for b in range(q):
+            assert ctx.add_table[a, b] == ctx._add_raw(a, b)
+            assert ctx.mul_table[a, b] == ctx._mul_raw(a, b)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
 def test_pow_matches_repeated_mul(p, k):
     ctx = make_field(p, k)
     for a in ctx.elements():
