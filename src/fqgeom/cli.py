@@ -67,7 +67,6 @@ def cmd_poly_count(args) -> dict:
 
     m = Fraction(args.m)
     n = count_capped_monomials(args.n, args.q, m)
-    print(n)
     return {"rows": [], "result": n}
 
 

@@ -2,9 +2,10 @@
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant).  Directions are
-normalized vectors (first nonzero coordinate 1); a line is the pair
-(direction id, index of its lexicographically-least point), which makes
-dedup and cross-run ordering trivial.
+normalized vectors (first nonzero coordinate 1), the points of
+PG(n-1,q); a line is the pair (direction id, index of its least point),
+which makes dedup and cross-run ordering trivial.  AffineSpace.line_points
+lists the points of any number of lines at once.
 """
 from __future__ import annotations
 
@@ -44,22 +45,14 @@ class AffineSpace:
         self.q = q
         self.n = n
         self.npoints = q ** n
-        # normalized directions, sorted by coordinate tuple
-        dirs = []
-        for v in product(range(q), repeat=n):
-            if any(v):
-                first = next(x for x in v if x)
-                if first == 1:
-                    dirs.append(v)
-        dirs.sort()
-        self.directions = dirs
-        self._dir_array = np.array(dirs)
-        self.dir_index = {d: i for i, d in enumerate(dirs)}
-        self.ndirs = len(dirs)  # (q^n - 1)/(q - 1)
+        # the directions are the points of PG(n-1, q): normalized vectors
+        # (first nonzero coordinate 1), sorted by coordinate tuple
+        self.proj = proj_space(q, n - 1)
+        self.directions = self.proj.points
+        self.dir_index = self.proj.point_index
+        self._dir_array = np.array(self.directions)
+        self.ndirs = len(self.directions)  # (q^n - 1)/(q - 1)
         self.nlabels = q ** (n - 1)  # lines per direction
-        # line point table: _line_pts[dir_id][base_idx] -> tuple of q indices
-        self._line_pts_cache: dict = {}
-        self._canon_cache: dict = {}
         self._perp: list | None = None
 
     # -- coordinates --
@@ -81,57 +74,23 @@ class AffineSpace:
     def points(self):
         return range(self.npoints)
 
-    def normalize_dir(self, vec):
-        """Scale a nonzero vector so its first nonzero coordinate is 1."""
-        vec = tuple(vec)
-        first = next((x for x in vec if x), None)
-        assert first is not None, "zero vector has no direction"
-        if first == 1:
-            return vec
-        inv = self.ctx.inv(first)
-        return tuple(self.ctx.mul(inv, x) for x in vec)
-
     # -- lines --
 
-    def line_points(self, dir_id: int, base_idx: int):
-        """Indices of the q points {base + t*dir}, in t order."""
-        key = (dir_id, base_idx)
-        hit = self._line_pts_cache.get(key)
-        if hit is not None:
-            return hit
-        ctx = self.ctx
-        d = self.directions[dir_id]
-        b = self.coords(base_idx)
-        pts = tuple(
-            self.index(tuple(ctx.add(bi, ctx.mul(t, di)) for bi, di in zip(b, d)))
-            for t in range(self.q)
-        )
-        self._line_pts_cache[key] = pts
-        return pts
+    def line_points(self, dir_ids, bases) -> np.ndarray:
+        """Indices of the q points base + t*d of each line, in t order.
 
-    def line_table(self, dir_id: int) -> np.ndarray:
-        """(npoints, q) array: row p lists the points of the line through p
-        with the given direction, in t order (not cached: q^(n+1) entries)."""
+        dir_ids and bases are broadcast against each other: one line gives
+        shape (q,), k lines give (k, q)."""
         addt, mult = self.ctx.add_table, self.ctx.mul_table
         q = self.q
-        d = self.directions[dir_id]
-        coords = np.empty((self.npoints, self.n), dtype=np.int64)
-        idx = np.arange(self.npoints)
-        rem = idx.copy()
+        d = self._dir_array[np.asarray(dir_ids, dtype=np.int64)]
+        b = np.asarray(bases, dtype=np.int64)[..., None]
+        t = np.arange(q)
+        pts = 0
         for i in range(self.n):
-            coords[:, i] = rem % q
-            rem //= q
-        tab = np.empty((self.npoints, q), dtype=np.int64)
-        for t in range(q):
-            acc = np.zeros(self.npoints, dtype=np.int64)
-            mul = 1
-            for i in range(self.n):
-                step = mult[t, d[i]]
-                col = addt[coords[:, i], step]
-                acc += col * mul
-                mul *= q
-            tab[:, t] = acc
-        return tab
+            step = mult[t, d[..., i, None]]  # t*d_i
+            pts = pts + addt[b // q ** i % q, step] * q ** i
+        return pts
 
     def line_labels(self, dir_id: int) -> np.ndarray:
         """Label in [0, nlabels) of the line with the given direction
@@ -164,19 +123,13 @@ class AffineSpace:
     def canonical_line(self, dir_id: int, point_idx: int):
         """The line through point_idx with the given direction, as
         (dir_id, least point index on the line)."""
-        key = (dir_id, point_idx)
-        hit = self._canon_cache.get(key)
-        if hit is not None:
-            return hit
-        pts = self.line_points(dir_id, point_idx)
-        line = (dir_id, min(pts))
-        for p in pts:
-            self._canon_cache[(dir_id, p)] = line
-        return line
+        return dir_id, int(self.line_points(dir_id, point_idx).min())
 
     def lines_through(self, point_idx: int):
         """All canonical lines through a point (one per direction)."""
-        return [self.canonical_line(d, point_idx) for d in range(self.ndirs)]
+        ids = np.arange(self.ndirs)
+        bases = self.line_points(ids, point_idx).min(axis=1)
+        return list(zip(ids.tolist(), bases.tolist()))
 
     def all_lines(self):
         """Every affine line exactly once, in canonical (dir, base) order."""
@@ -329,10 +282,15 @@ class LineFamily:
 
     def union_points(self) -> PointSet:
         s = PointSet(self.space.q, self.space.n)
-        for ln in self._lines:
-            for p in self.space.line_points(*ln):
-                s.mask[p] = True
+        s.mask[self.space.line_points(*split_lines(self._lines))] = True
         return s
+
+
+def split_lines(lines):
+    """Direction ids and bases of (dir_id, base) pairs, as two int arrays
+    for AffineSpace.line_points."""
+    arr = np.array(list(lines), dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
 
 
 def enumerate_lines(q: int, n: int = 3) -> LineFamily:
@@ -369,6 +327,8 @@ class ProjSpace:
         self.point_index = {v: i for i, v in enumerate(pts)}
 
     def normalize(self, vec):
+        """Scale a nonzero vector so its first nonzero coordinate is 1;
+        ValueError on the zero vector."""
         ctx = self.ctx
         vec = tuple(vec)
         first = next((x for x in vec if x), None)
@@ -406,20 +366,18 @@ class ProjSpace:
         return [x for x in self.points if self.ctx.dot(coeffs, x) == 0]
 
     def hyperplanes_through_line(self, u, v):
-        """Normalized coefficient vectors of hyperplanes containing both."""
+        """Normalized coefficient vectors of hyperplanes containing both:
+        the nonzero combinations of the n-1 kernel vectors of [u; v]."""
         ctx = self.ctx
-        basis = nullspace([u, v], ctx).tolist()
-        out = set()
-        for a in range(self.q):
-            for b in range(self.q):
-                if a == 0 and b == 0:
-                    continue
-                w = tuple(
-                    ctx.add(ctx.mul(a, x), ctx.mul(b, y))
-                    for x, y in zip(basis[0], basis[1])
-                )
-                out.add(self.normalize(w))
-        return sorted(out)
+        addt, mult = ctx.add_table, ctx.mul_table
+        basis = nullspace([u, v], ctx)
+        combos = np.array(list(product(range(self.q), repeat=len(basis)))[1:])
+        w = np.zeros((len(combos), self.n + 1), dtype=np.int64)
+        for j, row in enumerate(basis):
+            w = addt[w, mult[combos[:, j, None], row]]
+        lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
+        w = mult[ctx.inv_table[lead][:, None], w]
+        return sorted(set(map(tuple, w.tolist())))
 
 
 @lru_cache(maxsize=None)

@@ -336,7 +336,7 @@ def affine_chart_family(family: TangentLineFamily) -> LineFamily:
         for x in finite:
             inv = ctx.inv(x[0])
             aff.append(tuple(ctx.mul(inv, v) for v in x[1:]))
-        d = sp.dir_index[sp.normalize_dir(
+        d = sp.dir_index[sp.proj.normalize(
             tuple(ctx.sub(a, b) for a, b in zip(aff[0], aff[1]))
         )]
         fam.add(sp.canonical_line(d, sp.index(aff[0])))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import LineFamily, MismatchedField, PointSet, affine_space
+from .geom import LineFamily, MismatchedField, PointSet, affine_space, split_lines
 
 
 class FieldTooLarge(ValueError):
@@ -59,9 +59,7 @@ def count_incidences(P: PointSet, L: LineFamily) -> IncidenceStats:
     sp = L.space
     if P.q != sp.q or P.n != sp.n:
         raise MismatchedField(f"points over q={P.q},n={P.n}; lines over q={sp.q},n={sp.n}")
-    total = 0
-    for d, base in L.lines():
-        total += int(P.mask[list(sp.line_points(d, base))].sum())
+    total = int(P.mask[sp.line_points(*split_lines(L.lines()))].sum())
     return IncidenceStats(sp.q, len(P), len(L), total)
 
 
@@ -94,9 +92,7 @@ def incidence_matrix(q: int) -> np.ndarray:
     sp = affine_space(q, 3)
     lines = sp.all_lines()
     N = np.zeros((sp.npoints, len(lines)), dtype=np.int64)
-    for j, (d, base) in enumerate(lines):
-        for p in sp.line_points(d, base):
-            N[p, j] = 1
+    N[sp.line_points(*split_lines(lines)), np.arange(len(lines))[:, None]] = 1
     return N
 
 
@@ -256,19 +252,17 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
     if planes is not None:
         sp = affine_space(q, 3)
         members = list(planes)
-        point_lists = [sp.plane_points(pl) for pl in members]
+        points = [p for pl in members for p in sp.plane_points(pl)]
     else:
         sp = lines.space
         assert sp.n == 2 and sp.q == q
         members = lines.lines()
-        point_lists = [sp.line_points(d, b) for d, b in members]
+        points = sp.line_points(*split_lines(members))
     k = Fraction(len(members), q)
     if k <= 1:
         raise TooFewPlanes(f"need more than q objects, got {len(members)}")
     covered = PointSet(q, sp.n)
-    for pts in point_lists:
-        for p in pts:
-            covered.add(p)
+    covered.mask[points] = True
     total = sp.npoints
     # bound = (1 - 1/(k-1+1/k)) * total, exact
     denom = k - 1 + 1 / k

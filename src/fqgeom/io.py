@@ -95,7 +95,9 @@ def load_linefamily(path: str) -> LineFamily:
                 raise FormatError(f"line row needs {2 * n} tokens: {line!r}")
             vals = [_token_to_elem(ctx, t) for t in toks]
             vec, pt = tuple(vals[:n]), tuple(vals[n:])
-            d = sp.dir_index[sp.normalize_dir(vec)]
+            if not any(vec):
+                raise FormatError(f"line row has a zero direction: {line!r}")
+            d = sp.dir_index[sp.proj.normalize(vec)]
             fam.add(sp.canonical_line(d, sp.index(pt)))
         return fam
 

@@ -16,7 +16,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .geom import PointSet, affine_space
+from .geom import PointSet, affine_space, split_lines
 from .poly import (
     DegreeCap,
     MonomialBasis,
@@ -124,20 +124,20 @@ def build_thin_kakeya_set(q: int) -> PointSet:
     if q % 2 == 0:
         raise EvenFieldUnsupported("construction needs odd q")
     sp = affine_space(q, 3)
-    K = PointSet(q, 3)
     inv2 = ctx.inv(2 % q)
+    dirs, bases = [], []
     for b1 in range(q):
         for b2 in range(q):
             h1 = ctx.mul(inv2, b1)
             h2 = ctx.mul(inv2, b2)
-            base = sp.index((ctx.mul(h1, h1), ctx.mul(h2, h2), 0))
-            d = sp.dir_index[sp.normalize_dir((b1, b2, 1))]
-            for p in sp.line_points(d, base):
-                K.add(p)
+            bases.append(sp.index((ctx.mul(h1, h1), ctx.mul(h2, h2), 0)))
+            dirs.append(sp.dir_index[sp.proj.normalize((b1, b2, 1))])
     for d, vec in enumerate(sp.directions):
         if vec[2] == 0:
-            for p in sp.line_points(d, 0):
-                K.add(p)
+            dirs.append(d)
+            bases.append(0)
+    K = PointSet(q, 3)
+    K.mask[sp.line_points(dirs, bases)] = True
     return K
 
 
@@ -258,8 +258,7 @@ def _within_window(count: int, alpha: Fraction, scale: int, q: int) -> bool:
 
 
 def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
-                             seed: int, retry_cap: int = 1000,
-                             check_all_lines: bool = False) -> SubsetSample:
+                             seed: int, retry_cap: int = 1000) -> SubsetSample:
     """Random S subset of K with | |S| - alpha|K| | < d*alpha|K| and, for
     each witness line, | |L∩S| - alpha*q | < d*alpha*q, d = q^(-1/3).
     Retries up to retry_cap seeded draws, then raises RetryExhausted."""
@@ -270,11 +269,8 @@ def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
     rng = random.Random(seed)
     kpts = [int(i) for i in K.indices()]
     lines = list(witness.lines.values())
-    if check_all_lines:
-        lines = [
-            ln for ln in sp.all_lines()
-            if all(K.mask[p] for p in sp.line_points(*ln))
-        ]
+    line_pts = sp.line_points(*split_lines(lines))  # (len(lines), q), t order
+    pts_lists = line_pts.tolist()
     a = float(alpha)
     for attempt in range(1, retry_cap + 1):
         chosen = [p for p in kpts if rng.random() < a] if alpha < 1 else kpts
@@ -282,8 +278,7 @@ def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
         # repair pass: nudge each out-of-window line by toggling its own
         # points (witness lines pairwise share at most one point, so the
         # nudges barely interact); the draw is re-verified from scratch below
-        for ln in lines:
-            pts = list(sp.line_points(*ln))
+        for pts in pts_lists:
             c = sum(1 for p in pts if S.mask[p])
             for _ in range(q + 1):  # empty integer windows stop here
                 if _within_window(c, alpha, q, q):
@@ -305,8 +300,7 @@ def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
             continue
         counts = {}
         ok = True
-        for ln in lines:
-            c = sum(1 for p in sp.line_points(*ln) if S.mask[p])
+        for ln, c in zip(lines, S.mask[line_pts].sum(axis=1).tolist()):
             counts[ln] = c
             if not _within_window(c, alpha, q, q):
                 ok = False

@@ -144,7 +144,7 @@ def build_conic_dual_line_family(q: int, fraction=Fraction(62, 100)):
     assert max_line_coincidence(q, duals) <= 2
     sp = affine_space(q, 3)
     fam = LineFamily(sp)
-    planes = [(sp.dir_index[sp.normalize_dir(c)], 0) for c in duals]
+    planes = [(sp.dir_index[sp.proj.normalize(c)], 0) for c in duals]
     for pl in planes:
         for ln in sp.lines_in_plane(pl):
             fam.add(ln)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fqgeom
 from fqgeom.cli import main
 
 
@@ -15,7 +19,7 @@ def run(argv, capsys):
 def test_poly_count_prints(capsys):
     code, out = run(["poly", "count", "--n", "3", "--q", "3", "--m", "2"], capsys)
     assert code == 0
-    assert out.splitlines()[0] == "26"
+    assert json.loads(out)["result"] == 26
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -77,6 +81,14 @@ def test_nikodym_verify_witness(tmp_path, capsys):
     assert json.loads(wit.read_text())["q"] == 3
 
 
+def test_incidence_check_zero_direction_exits_2(tmp_path, capsys):
+    (tmp_path / "a.pts").write_text("3 3 points\n0 0 0\n")
+    (tmp_path / "b.lines").write_text("3 3 lines\n0 0 0 1 2 0\n")
+    code, _ = run(["incidence", "check", "--points", str(tmp_path / "a.pts"),
+                   "--lines", str(tmp_path / "b.lines")], capsys)
+    assert code == 2
+
+
 def test_incidence_check(tmp_path, capsys):
     from fqgeom.geom import LineFamily, PointSet, affine_space
     from fqgeom.io import save_linefamily, save_pointset
@@ -129,8 +141,17 @@ def test_suite_deterministic(tmp_path, capsys):
 
 
 def test_suite_stdout_matches_committed_output(capsys):
-    # the output of `fqgeom suite --max-q 5 --seed 1` is pinned byte for byte
-    golden = Path(__file__).parent / "data" / "suite_max_q5_seed1.json"
-    code, out = run(["suite", "--max-q", "5", "--seed", "1"], capsys)
+    # the output of `fqgeom suite --max-q 5 --seed 1` is pinned byte for
+    # byte, in process and under `python -O`, which strips every assert
+    golden = (Path(__file__).parent / "data" / "suite_max_q5_seed1.json").read_bytes()
+    argv = ["suite", "--max-q", "5", "--seed", "1"]
+    code, out = run(argv, capsys)
     assert code == 0
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == golden
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "fqgeom.cli", *argv],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == golden

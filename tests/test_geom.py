@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fqgeom.geom import (
@@ -45,13 +46,29 @@ def test_lines_through_point_count(q):
             assert p in sp.line_points(d, base)
 
 
-@pytest.mark.parametrize("q", [3, 4])
+def scalar_line(sp, d, p):
+    """Points p + t*d, t = 0..q-1, from the scalar field operations."""
+    ctx, vec, x = sp.ctx, sp.directions[d], sp.coords(p)
+    return [sp.index([ctx.add(xi, ctx.mul(t, di)) for xi, di in zip(x, vec)])
+            for t in range(sp.q)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_line_table_matches_scalar_path(q):
-    sp = affine_space(q, 3)
-    for d in range(sp.ndirs):
-        tab = sp.line_table(d)
-        for p in range(0, sp.npoints, 7):
-            assert tuple(tab[p]) == sp.line_points(d, p)
+    for n in (2, 3):
+        sp = affine_space(q, n)
+        for d in range(sp.ndirs):
+            tab = sp.line_points(d, np.arange(sp.npoints))
+            assert tab.shape == (sp.npoints, q)
+            for p in range(0, sp.npoints, 7):
+                assert tab[p].tolist() == scalar_line(sp, d, p)
+        # one call over k lines of mixed directions
+        dirs = [d % sp.ndirs for d in range(0, 5 * sp.ndirs, 3)]
+        bases = [(11 * i + 5) % sp.npoints for i in range(len(dirs))]
+        tab = sp.line_points(dirs, bases)
+        assert tab.shape == (len(dirs), q)
+        assert tab.tolist() == [scalar_line(sp, d, p) for d, p in zip(dirs, bases)]
+        assert sp.line_points([], []).shape == (0, q)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -82,10 +99,12 @@ def test_planes_through_line(q):
 
 def test_normalize_dir():
     sp = affine_space(5, 3)
-    assert sp.normalize_dir((2, 4, 0)) == (1, 2, 0)
-    assert sp.normalize_dir((0, 3, 3)) == (0, 1, 1)
+    assert sp.proj.normalize((2, 4, 0)) == (1, 2, 0)
+    assert sp.proj.normalize((0, 3, 3)) == (0, 1, 1)
     for vec in sp.directions:
-        assert sp.normalize_dir(vec) == vec
+        assert sp.proj.normalize(vec) == vec
+    with pytest.raises(ValueError):
+        sp.proj.normalize((0, 0, 0))
 
 
 def test_pointset_basics():
@@ -127,6 +146,19 @@ def test_proj_space_counts(q, n):
         assert len(lines) == len(pg.points)
     for ln in lines[:20]:
         assert len(ln) == q + 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3),
+                                 (2, 4), (3, 4)])
+def test_hyperplanes_through_line_brute_force(q, n):
+    pg = proj_space(q, n)
+    dot = pg.ctx.dot
+    npts = len(pg.points)
+    for i, j in {(0, 1), (0, npts - 1), (npts // 3, npts // 2), (npts - 2, npts - 1)}:
+        u, v = pg.points[i], pg.points[j]
+        expect = [c for c in pg.points if dot(c, u) == dot(c, v) == 0]
+        assert len(expect) == (q ** (n - 1) - 1) // (q - 1)
+        assert pg.hyperplanes_through_line(u, v) == expect
 
 
 def test_pg34_sizes():

@@ -68,3 +68,10 @@ def test_format_errors(tmp_path):
     bad.write_text("3 3 points\n1 2 7\n")
     with pytest.raises(FormatError):
         load_pointset(str(bad))
+
+
+def test_linefamily_zero_direction(tmp_path):
+    bad = tmp_path / "bad.lines"
+    bad.write_text("3 3 lines\n1 0 0 0 0 0\n0 0 0 1 2 0\n")
+    with pytest.raises(FormatError, match="zero direction"):
+        load_linefamily(str(bad))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -132,6 +133,11 @@ def test_sampler_recount_and_window():
         recount = sum(1 for p in sp.line_points(*ln) if s.subset.mask[p])
         assert recount == c
         assert abs(c - 0.5 * q) < delta * 0.5 * q
+    # the seeded draw is pinned: the repair pass offers rng.choice each
+    # line's points in t order
+    assert (s.size, s.attempts) == (75, 1)
+    indices = str(s.subset.indices().tolist()).encode()
+    assert hashlib.sha256(indices).hexdigest()[:16] == "894e5842869ae119"
 
 
 def test_sampler_alpha_one_trivial():
@@ -140,6 +146,15 @@ def test_sampler_alpha_one_trivial():
     w = verify_kakeya(K)
     s = sample_fractional_subset(K, w, Fraction(1), seed=9)
     assert s.size == len(K)
+
+
+def test_sampler_without_witness_lines():
+    # an empty line list leaves only the size window to check
+    q = 5
+    K = build_quadratic_residue_set(q)
+    s = sample_fractional_subset(K, KakeyaWitness(q, K, {}), Fraction(1, 2), seed=3)
+    assert s.line_counts == {}
+    assert abs(s.size - 0.5 * len(K)) < q ** (-1 / 3) * 0.5 * len(K)
 
 
 def test_sampler_retry_exhausted_on_empty_window():

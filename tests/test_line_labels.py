@@ -1,5 +1,5 @@
 """The streamed verifiers and line enumerations against an independent
-partition of AG(3,q) built from the scalar line_points path, and the
+partition of AG(3,q) built line by line with line_points, and the
 memory bound of the streamed verifiers."""
 import json
 import os
