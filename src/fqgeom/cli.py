@@ -63,8 +63,10 @@ def _config_echo(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_poly_count(args) -> dict:
+    from .gf import prime_power
     from .poly import count_capped_monomials
 
+    prime_power(args.q)  # NonPrime, exit 2, when there is no field of order q
     m = Fraction(args.m)
     n = count_capped_monomials(args.n, args.q, m)
     return {"rows": [], "result": n}

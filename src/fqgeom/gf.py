@@ -15,6 +15,7 @@ arithmetic ``_add_raw``/``_mul_raw``.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -105,17 +106,7 @@ def _is_irreducible(mod, p):
         return False
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(d, p):
-            r = list(mod)
-            # remainder of mod by div
-            dd = len(div) - 1
-            while len(r) > dd:
-                c = r[-1]
-                if c:
-                    shift = len(r) - 1 - dd
-                    for i in range(dd):
-                        r[shift + i] = (r[shift + i] - c * div[i]) % p
-                r.pop()
-            if not _poly_trim(r):
+            if not _poly_mod(mod, div, p):
                 return False
     return True
 
@@ -242,9 +233,6 @@ class FieldCtx:
             return self._inv[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def conj(self, a: int) -> int:
         """Frobenius conjugate a -> a^p (square-order fields only)."""
         if self.k != 2:
@@ -318,21 +306,22 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     return FieldCtx(p, k)
 
 
+def prime_power(q: int) -> tuple:
+    """(p, k) with q = p^k; NonPrime when q is not a prime power."""
+    # the least divisor above 1 is prime; with none up to sqrt(q), q is prime
+    p = next((d for d in range(2, isqrt(max(q, 0)) + 1) if q % d == 0), q)
+    k = 1
+    while p ** k < q:
+        k += 1
+    if q < 2 or p ** k != q:
+        raise NonPrime(f"{q} is not a prime power")
+    return p, k
+
+
 @lru_cache(maxsize=None)
 def field_of_order(q: int) -> FieldCtx:
     """GF(q) for q a prime power (p deduced from q)."""
-    for p in range(2, q + 1):
-        if is_prime(p):
-            k = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                k += 1
-            if t == 1 and k >= 1:
-                return make_field(p, k)
-            if q % p == 0:
-                break
-    raise NonPrime(f"{q} is not a prime power")
+    return make_field(*prime_power(q))
 
 
 def frobenius_conjugate(ctx: FieldCtx, a: int) -> int:

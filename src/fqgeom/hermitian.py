@@ -326,18 +326,16 @@ def affine_chart_family(family: TangentLineFamily) -> LineFamily:
     hyperplane x0 = 0, as lines of AG(3,q) through the x0 = 1 chart."""
     sp = affine_space(family.V.q, 3)
     ctx = sp.ctx
-    fam = LineFamily(sp)
+    dirs, pts = [], []
     for ln in family.lines:
         finite = [x for x in ln if x[0] != 0]
         if len(finite) < 2:
             continue
         # x = (1, a1, a2, a3) after scaling by x0^{-1}
-        aff = []
-        for x in finite:
-            inv = ctx.inv(x[0])
-            aff.append(tuple(ctx.mul(inv, v) for v in x[1:]))
-        d = sp.dir_index[sp.proj.normalize(
+        aff = [tuple(ctx.mul(ctx.inv(x[0]), v) for v in x[1:]) for x in finite[:2]]
+        dirs.append(sp.dir_index[sp.proj.normalize(
             tuple(ctx.sub(a, b) for a, b in zip(aff[0], aff[1]))
-        )]
-        fam.add(sp.canonical_line(d, sp.index(aff[0])))
-    return fam
+        )])
+        pts.append(sp.index(aff[0]))
+    bases = sp.line_points(dirs, pts).min(axis=1)
+    return LineFamily(sp, zip(dirs, bases.tolist()))

@@ -86,7 +86,7 @@ def load_linefamily(path: str) -> LineFamily:
             raise FormatError(f"{path} holds {kind}, not lines")
         sp = affine_space(q, n)
         ctx = sp.ctx
-        fam = LineFamily(sp)
+        dirs, pts = [], []
         for line in fh:
             toks = line.split()
             if not toks:
@@ -97,9 +97,10 @@ def load_linefamily(path: str) -> LineFamily:
             vec, pt = tuple(vals[:n]), tuple(vals[n:])
             if not any(vec):
                 raise FormatError(f"line row has a zero direction: {line!r}")
-            d = sp.dir_index[sp.proj.normalize(vec)]
-            fam.add(sp.canonical_line(d, sp.index(pt)))
-        return fam
+            dirs.append(sp.dir_index[sp.proj.normalize(vec)])
+            pts.append(sp.index(pt))
+    bases = sp.line_points(dirs, pts).min(axis=1)
+    return LineFamily(sp, zip(dirs, bases.tolist()))
 
 
 def save_poly(g: MultiPoly, path: str):

@@ -14,26 +14,45 @@ from .gf import FieldCtx
 
 def rref(mat, ctx: FieldCtx):
     """Reduced row echelon form of a 2-D array of element codes; returns
-    (rref, pivot_cols).  The input is not modified."""
+    (rref, pivot_cols).  The input is not modified.
+
+    A pivot updates only the rows with a nonzero entry in its column, and
+    only the columns from the pivot on (the pivot row is zero to its left).
+    On prime fields the reduction mod p is delayed, as in FFLAS-FFPACK
+    (Dumas-Giorgi-Pernet, arXiv:cs/0601133): a step reduces only the pivot
+    column and row, and the matrix is reduced once at the end.  An update
+    subtracts a product of two reduced entries, so |entry| stays below
+    (p-1) + rank*(p-1)^2: within int64 for p <= TABLE_LIMIT, rank < 2^43."""
     a = np.array(mat, dtype=np.int64)
     rows, cols = a.shape
+    lazy = ctx.k == 1
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
+        if lazy:
+            a[:, c] %= ctx.p
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + nz[0]
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = ctx.vmul(a[r], ctx.inv(int(a[r, c])))
+        if lazy:
+            a[r, c:] %= ctx.p
+        a[r, c:] = ctx.vmul(a[r, c:], ctx.inv(int(a[r, c])))
         col = a[:, c].copy()
         col[r] = 0
-        a = ctx.vsubmul(a, col[:, None], a[r][None, :])
+        hit = np.flatnonzero(col)
+        if lazy:
+            a[hit, c:] -= col[hit, None] * a[r, c:]
+        else:
+            a[hit, c:] = ctx.vsubmul(a[hit, c:], col[hit, None], a[r, c:])
         pivots.append(c)
         r += 1
+    if lazy:
+        a %= ctx.p
     return a, pivots
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, inf
+from math import ceil, comb, inf
 
 import numpy as np
 
@@ -91,20 +91,23 @@ def _as_cap(m) -> DegreeCap:
 
 def count_capped_monomials(n: int, q: int, m) -> int:
     """Number of monomials in n variables with individual degree < q and
-    total degree < m*q, by inclusion-exclusion.  Binomial(t, n) is 0 for
-    t < n, which absorbs the empty peeled-off classes.
+    total degree < m*q (m a number or a DegreeCap), by inclusion-exclusion.
 
-    The class peeled at step i counts monomials of total degree < (m-i)*q;
-    "degree < x" means degree <= ceil(x)-1, which differs from floor(x)-1
-    only when x is not an integer (the two agree on every integer cap)."""
-    m = Fraction(m)
-    if n < 1 or q < 2 or m <= 0:
+    The class peeled at step i has total degree at most ceil((m-i)*q) - 1 =
+    top - i*q, with top the largest total degree below m*q: a float
+    estimate, corrected by the exact DegreeCap.allows_total.  Binomial(t, n)
+    is 0 for t < n, which absorbs the empty classes."""
+    cap = _as_cap(m)
+    if n < 1 or q < 2 or not cap.allows_total(0, q):
         raise ValueError("need n >= 1, q >= 2, m > 0")
+    top = ceil(cap.value(q) * q) - 1
+    while cap.allows_total(top + 1, q):
+        top += 1
+    while not cap.allows_total(top, q):
+        top -= 1
     total = 0
     for i in range(n + 1):
-        x = (m - i) * q
-        ceil_x = -((-x.numerator) // x.denominator)
-        t = ceil_x - 1 + n
+        t = top - i * q + n
         term = comb(t, n) if t >= n else 0
         total += (-1) ** i * comb(n, i) * term
     return total
@@ -116,8 +119,8 @@ def count_capped_monomials_bruteforce(n: int, q: int, m) -> int:
 
 
 @lru_cache(maxsize=None)
-def _basis_exponents(n: int, q: int, a_num, a_den, b_num, b_den):
-    cap = DegreeCap(Fraction(a_num, a_den), Fraction(b_num, b_den))
+def _basis_exponents(n: int, q: int, a: Fraction, b: Fraction):
+    cap = DegreeCap(a, b)
     exps = [e for e in product(range(q), repeat=n) if cap.allows_total(sum(e), q)]
     exps.sort(key=lambda e: (sum(e), e))  # graded-lex
     return tuple(exps)
@@ -131,13 +134,7 @@ class MonomialBasis:
         self.n = n
         self.q = q
         self.cap = _as_cap(m)
-        self.exponents = list(
-            _basis_exponents(
-                n, q,
-                self.cap.a.numerator, self.cap.a.denominator,
-                self.cap.b.numerator, self.cap.b.denominator,
-            )
-        )
+        self.exponents = list(_basis_exponents(n, q, self.cap.a, self.cap.b))
         self.index = {e: i for i, e in enumerate(self.exponents)}
 
     def __len__(self):
@@ -171,14 +168,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = ctx.add(ctx.mul(acc, t), c)
         return acc
-
-    def leading_coefficient(self) -> int:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, j: int) -> int:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
 
     def multiplicity_at(self, t0: int):
         """Order of vanishing at t0 via shifted coefficients
@@ -245,48 +234,70 @@ class MultiPoly:
             acc = ctx.add(acc, term)
         return acc
 
-    def shifted_coefficient(self, a, beta) -> int:
-        """Coefficient of x^beta in g(x + a), with exact binomial weights."""
-        ctx = self.ctx
-        p = ctx.p
-        acc = 0
-        for e, c in self.support():
-            if any(ei < bi for ei, bi in zip(e, beta)):
-                continue
-            w = 1
-            for ei, bi in zip(e, beta):
-                w = (w * comb(ei, bi)) % p
-            if w == 0:
-                continue
-            term = ctx.mul(c, w)
-            for xi, ei, bi in zip(a, e, beta):
-                if ei > bi:
-                    term = ctx.mul(term, ctx.pow(xi, ei - bi))
-            acc = ctx.add(acc, term)
-        return acc
+
+# the batched shift takes its points in chunks of at most this many
+# coefficients (32 KB of int64 per array), which bounds its memory at any q
+_SHIFT_CELLS = 1 << 12
 
 
-def _degrees(n, d):
-    """All exponent vectors of length n with total degree exactly d."""
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _degrees(n - 1, d - first):
-            yield (first,) + rest
+def _shifts(g: MultiPoly, pts):
+    """The coefficient tensors of g(x+a), for the points a in the (k, n)
+    array pts, in chunks of at most _SHIFT_CELLS coefficients: yields
+    (index of the chunk's first point, tensors of shape (chunk,) + (q,)*n).
+
+    g's dense (q,)*n coefficient tensor is shifted one variable at a time by
+    the Taylor matrices T(a_i)[j, e] = binom(e, j) * a_i^(e-j), for every
+    point of a chunk at once (von zur Gathen and Gerhard, "Fast algorithms
+    for Taylor shifts", ISSAC 1997)."""
+    ctx = g.ctx
+    q, n, p = g.basis.q, g.basis.n, ctx.p
+    dense = np.zeros((q,) * n, dtype=np.int64)
+    dense[tuple(np.array(g.basis.exponents, dtype=np.int64).T)] = g.coeffs
+    e = np.arange(q)
+    # binom(e, j) mod p as prime-subfield codes, indexed [j, e]; 0 for j > e
+    binom = np.array([[comb(ei, j) % p for ei in e] for j in e], dtype=np.int64)
+    shift = np.maximum(e[None, :] - e[:, None], 0)
+    step = max(1, _SHIFT_CELLS // dense.size)
+    for lo in range(0, len(pts), step):
+        chunk = pts[lo:lo + step]
+        h = dense[None]
+        # contract the leading coefficient axis with T(a_i); the new axis
+        # goes last, so after n steps the axes are back in variable order.
+        # On prime fields a sum of q products below p^2 fits in int64.
+        for i in range(n):
+            t = ctx.vmul(binom, ctx.pow_table[chunk[:, i, None, None], shift])
+            if ctx.k == 1:
+                h = np.einsum("kje,ke...->k...j", t, h) % p
+                continue
+            t = t.reshape((len(chunk),) + (1,) * (h.ndim - 2) + (q, q))
+            acc = 0
+            for c in range(q):
+                acc = ctx.add_table[acc, ctx.vmul(h[:, c, ..., None], t[..., c])]
+            h = acc
+        yield lo, h
+
+
+def multiplicities(g: MultiPoly, points) -> np.ndarray:
+    """Multiplicity of the nonzero polynomial g at each point: the least
+    total degree in the support of g(x+a), with g(x+a) computed in full."""
+    if g.is_zero():
+        raise ZeroPolynomial("multiplicity of the zero polynomial")
+    n, top = g.basis.n, g.basis.n * g.basis.q
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, n)
+    degree = np.indices((g.basis.q,) * n).sum(axis=0)
+    out = np.empty(len(pts), dtype=np.int64)
+    for lo, h in _shifts(g, pts):
+        least = np.where(h != 0, degree, top).reshape(len(h), -1).min(axis=1)
+        out[lo:lo + len(h)] = least
+    if (out == top).any():
+        raise AssertionError("full shift of a nonzero polynomial vanished")
+    return out
 
 
 def multiplicity_at(g: MultiPoly, a):
     """Largest m such that g(x+a) has no monomial of degree < m
     (inf for the zero polynomial)."""
-    if g.is_zero():
-        return inf
-    dmax = g.total_degree
-    for m in range(dmax + 1):
-        for beta in _degrees(g.basis.n, m):
-            if g.shifted_coefficient(a, beta) != 0:
-                return m
-    return dmax + 1  # unreachable for nonzero g
+    return inf if g.is_zero() else int(multiplicities(g, [a])[0])
 
 
 def multiplicity_via_full_shift(g: MultiPoly, a):
@@ -326,42 +337,22 @@ def multiplicity_via_full_shift(g: MultiPoly, a):
 
 
 def restrict_to_line(g: MultiPoly, a, b) -> UniPoly:
-    """g(a + t*b) as a univariate polynomial in t."""
-    assert any(b), "direction must be nonzero"
+    """g(a + t*b) as a univariate polynomial in t: the coefficient of x^beta
+    in g(x+a), times b^beta, goes to t^|beta|.  The sums add element codes
+    digit by digit mod p, which is addition in GF(p^k)."""
+    if not any(b):
+        raise ValueError("direction must be nonzero")
     ctx = g.ctx
-    q = g.basis.q
-    n = g.basis.n
-    # powers of the linear polynomials (a_i + t b_i)
-    lin_pows = []
-    for ai, bi in zip(a, b):
-        pows = [[1]]
-        for _ in range(q - 1):
-            prev = pows[-1]
-            nxt = [0] * (len(prev) + 1)
-            for j, c in enumerate(prev):
-                if c:
-                    nxt[j] = ctx.add(nxt[j], ctx.mul(c, ai))
-                    nxt[j + 1] = ctx.add(nxt[j + 1], ctx.mul(c, bi))
-            pows.append(nxt)
-        lin_pows.append(pows)
-    out = [0] * (n * (q - 1) + 1)
-    for e, c in g.support():
-        term = [c]
-        for i, ei in enumerate(e):
-            if ei:
-                fac = lin_pows[i][ei]
-                nxt = [0] * (len(term) + len(fac) - 1)
-                for j, tc in enumerate(term):
-                    if tc == 0:
-                        continue
-                    for k, fc in enumerate(fac):
-                        if fc:
-                            nxt[j + k] = ctx.add(nxt[j + k], ctx.mul(tc, fc))
-                term = nxt
-        for j, tc in enumerate(term):
-            if tc:
-                out[j] = ctx.add(out[j], tc)
-    return UniPoly(ctx, out)
+    q, n, p = g.basis.q, g.basis.n, ctx.p
+    _, h = next(_shifts(g, np.array([a], dtype=np.int64)))
+    w = h[0]
+    for i, bi in enumerate(b):
+        w = ctx.vmul(w, ctx.pow_table[bi].reshape([q if j == i else 1 for j in range(n)]))
+    place = p ** np.arange(ctx.k)
+    sums = np.zeros((n * (q - 1) + 1, ctx.k), dtype=np.int64)
+    degree = np.indices(w.shape).sum(axis=0).ravel()
+    np.add.at(sums, degree, w.reshape(-1, 1) // place % p)
+    return UniPoly(ctx, ((sums % p) @ place).tolist())
 
 
 def homogeneous_top(g: MultiPoly) -> MultiPoly:
@@ -427,12 +418,13 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None):
 
     rows = []
     for coords, mult in points_with_mult:
-        for d in range(mult):
-            for beta in _degrees(n, d):
-                row = factor(0, coords[0], beta[0])
-                for i in range(1, n):
-                    row = ctx.vmul(row, factor(i, coords[i], beta[i]))
-                rows.append(row)
+        # every beta with |beta| < mult, by degree and then lexicographically
+        betas = [b for b in product(range(mult), repeat=n) if sum(b) < mult]
+        for beta in sorted(betas, key=sum):
+            row = factor(0, coords[0], beta[0])
+            for i in range(1, n):
+                row = ctx.vmul(row, factor(i, coords[i], beta[i]))
+            rows.append(row)
     if not rows:
         return np.zeros((0, len(basis)), dtype=np.int64)
     return np.vstack(rows)
@@ -446,24 +438,21 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
     Raises InfeasibleCount when the counting hypothesis
     |S1|*binom(m1+n-1,n) + |S2|*binom(m2+n-1,n) < #basis fails; the
     returned polynomial is the first kernel basis vector of the
-    constraint matrix, re-verified against multiplicity_at at every
-    constrained point."""
-    from .geom import PointSet
+    constraint matrix, re-verified by multiplicities at every constrained
+    point."""
+    from .geom import PointSet, affine_space
 
     def unpack(S):
-        if S is None:
-            return q, []
         if isinstance(S, PointSet):
-            sp_q = S.q
-            from .geom import affine_space
             sp = affine_space(S.q, S.n)
-            return sp_q, [sp.coords(int(i)) for i in S.indices()]
-        return q, [tuple(int(x) for x in pt) for pt in S]
+            return S.q, [sp.coords(int(i)) for i in S.indices()]
+        return q, [tuple(int(x) for x in pt) for pt in S or ()]
 
     q1, pts1 = unpack(S1)
     q2, pts2 = unpack(S2)
     q = q1 or q2 or q
-    assert q is not None, "field order could not be inferred"
+    if q is None:
+        raise ValueError("field order could not be inferred; pass q")
     if set(pts1) & set(pts2):
         raise SetsNotDisjoint("S1 and S2 share points")
     basis = MonomialBasis(n, q, m)
@@ -479,10 +468,12 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
     # the rest of the kernel basis be freed
     kernel = nullspace(constraint_rows_matrix(basis, constraints, ctx), ctx)
     g = MultiPoly(basis, kernel[0].copy(), ctx)
-    for coords, mult in constraints:
-        got = multiplicity_at(g, coords)
-        if got < mult:
+    # re-check every constrained point through the full shift g(x+a), a
+    # route that does not read the constraint matrix
+    got = multiplicities(g, [coords for coords, _ in constraints])
+    for (coords, mult), m_at in zip(constraints, got.tolist()):
+        if m_at < mult:
             raise AssertionError(
-                f"solver output has multiplicity {got} < {mult} at {coords}"
+                f"solver output has multiplicity {m_at} < {mult} at {coords}"
             )
     return g

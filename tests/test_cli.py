@@ -22,6 +22,12 @@ def test_poly_count_prints(capsys):
     assert json.loads(out)["result"] == 26
 
 
+def test_poly_count_non_prime_power_exits_2(capsys):
+    code, out = run(["poly", "count", "--n", "3", "--q", "6", "--m", "2"], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["poly", "count", "--bogus", "1"]) == 2
 

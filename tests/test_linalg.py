@@ -66,3 +66,42 @@ def test_elimination_matches_brute_force(q):
         assert len(basis) == cols - rank
         assert all(tuple(v) in kernel for v in basis)
         assert span(ctx, basis, cols) == kernel
+
+
+def gauss_jordan(rows, p):
+    """Reduced row echelon form mod p, in plain Python with a reduction
+    after every operation; returns (rows, pivot_cols)."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@pytest.mark.parametrize("p", [2, 1021])
+def test_delayed_reduction_matches_gauss_jordan(p):
+    """Delayed mod-p reduction at a large prime: the exact RREF and pivots
+    of a plain Gauss-Jordan elimination, and kernel rows that M kills."""
+    ctx = field_of_order(p)
+    rng = np.random.default_rng(p)
+    low = (rng.integers(0, p, (60, 25)) @ rng.integers(0, p, (25, 40))) % p
+    for mat in (rng.integers(0, p, (40, 60)), rng.integers(0, p, (60, 40)), low):
+        red, pivots = rref(mat, ctx)
+        want, want_pivots = gauss_jordan(mat.tolist(), p)
+        assert pivots == want_pivots
+        assert red.tolist() == want
+        kernel = nullspace(mat, ctx)
+        assert len(kernel) == mat.shape[1] - len(pivots)
+        assert not ((mat @ kernel.T) % p).any()

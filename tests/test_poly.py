@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 
+from fqgeom import poly
 from fqgeom.gf import field_of_order
 from fqgeom.poly import (
     DegreeCap,
@@ -19,6 +22,7 @@ from fqgeom.poly import (
     homogeneous_top,
     interpolate_vanishing,
     is_identically_zero_on_space,
+    multiplicities,
     multiplicity_at,
     multiplicity_via_full_shift,
     restrict_to_line,
@@ -75,6 +79,25 @@ def test_count_anchor_values():
     assert count_capped_monomials(3, 3, 3) == 27
 
 
+def test_count_accepts_degree_cap():
+    # alpha = 13/20 at q = 8 gives m*q = 3 exactly, and its float estimate
+    # exceeds 3, so the exact correction of the ceiling is needed there
+    grid = [Fraction(j, 10) for j in range(11)]
+    for q in (5, 7, 8, 9, 11, 13):
+        for u in (1, 2):
+            for alpha in grid + [Fraction(13, 20)] * (q == 8):
+                cap = DegreeCap.fractional(u, alpha)
+                expect = len(MonomialBasis(3, q, cap))
+                if cap.allows_total(0, q):
+                    assert count_capped_monomials(3, q, cap) == expect, (q, u, alpha)
+                else:  # a cap m <= 0 admits no monomial
+                    assert expect == 0
+                    with pytest.raises(ValueError, match="m > 0"):
+                        count_capped_monomials(3, q, cap)
+    with pytest.raises(ValueError, match="m > 0"):
+        count_capped_monomials(3, 5, Fraction(0))
+
+
 def test_basis_graded_lex():
     basis = MonomialBasis(3, 3, 2)
     assert len(basis) == 26
@@ -106,7 +129,51 @@ def test_multiplicity_routes_agree(q):
         assert multiplicity_at(g, a) == multiplicity_via_full_shift(g, a)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_multiplicities_match_full_shift(q, monkeypatch):
+    """The batched Taylor shift against the scalar oracle, on seeded random
+    polynomials and on interpolants, at constrained and random points.
+    Chunks of 4 points, so that every call spans several chunks."""
+    monkeypatch.setattr(poly, "_SHIFT_CELLS", 4 * q ** 3)
+    rng = random.Random(50 + q)
+    pool = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+    for m in (1, 2, 3):
+        basis = MonomialBasis(3, q, m)
+        for _ in range(3):
+            g = random_poly(basis, rng)
+            pts = rng.sample(pool, min(10, len(pool)))
+            assert multiplicities(g, pts).tolist() == \
+                [multiplicity_via_full_shift(g, a) for a in pts]
+        budget = len(basis) - 1
+        rng.shuffle(pool)
+        n1 = min(max(1, budget // 2), 12)
+        S1 = pool[:n1]
+        S2 = pool[n1:n1 + min(2, budget - n1)]
+        g = interpolate_vanishing(S1, 1, S2, 1, m, q=q)
+        pts = S1[:10] + S2 + rng.sample(pool, min(5, len(pool)))
+        got = multiplicities(g, pts).tolist()
+        assert got == [multiplicity_via_full_shift(g, a) for a in pts]
+        assert min(got[:len(S1[:10]) + len(S2)]) >= 1
+    assert multiplicities(g, []).shape == (0,)
+    with pytest.raises(ZeroPolynomial):
+        multiplicities(MultiPoly.from_dict(basis, {}), pts)
+    assert multiplicity_at(MultiPoly.from_dict(basis, {}), pts[0]) == inf
+
+
+@pytest.mark.parametrize("drop, where", [(0, "0 < 2 at (0, 0, 0)"),
+                                         (-1, "0 < 1 at (1, 2, 3)")],
+                         ids=["first-row", "last-row"])
+def test_recheck_does_not_trust_constraint_matrix(monkeypatch, drop, where):
+    """With one constraint row dropped, the solver's output misses that
+    constraint, and the re-check must catch it."""
+    full = poly.constraint_rows_matrix
+    monkeypatch.setattr(poly, "constraint_rows_matrix",
+                        lambda *args: np.delete(full(*args), drop, axis=0))
+    with pytest.raises(AssertionError, match=re.escape(where)):
+        interpolate_vanishing([(0, 0, 0)], 2, [(1, 2, 3)], 1, 2, q=5)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_restriction_evaluates_like_g(q):
     rng = random.Random(10 + q)
     basis = MonomialBasis(3, q, 3)
@@ -121,6 +188,8 @@ def test_restriction_evaluates_like_g(q):
         for t in range(q):
             pt = tuple(ctx.add(ai, ctx.mul(t, bi)) for ai, bi in zip(a, b))
             assert f.evaluate(t) == g.evaluate(pt)
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        restrict_to_line(g, a, (0, 0, 0))
 
 
 def test_multiplicity_of_vanishing_positive_iff_zero():
@@ -170,6 +239,8 @@ def test_interpolate_errors():
     many = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     with pytest.raises(InfeasibleCount):
         interpolate_vanishing(many, 2, [], 1, 2, q=3)
+    with pytest.raises(ValueError, match="field order"):
+        interpolate_vanishing([(0, 0, 0)], 1, [], 1, 2)
 
 
 def test_degree_cap_violation_detected():
