@@ -146,18 +146,65 @@ def test_suite_deterministic(tmp_path, capsys):
     assert (tmp_path / "suite.json.timing").exists()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def run_optimized(argv):
+    """Run the CLI in a subprocess under `python -O`, which strips every
+    assert."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-m", "fqgeom.cli", *argv],
+                          env=env, capture_output=True)
+
+
 def test_suite_stdout_matches_committed_output(capsys):
     # the output of `fqgeom suite --max-q 5 --seed 1` is pinned byte for
     # byte, in process and under `python -O`, which strips every assert
-    golden = (Path(__file__).parent / "data" / "suite_max_q5_seed1.json").read_bytes()
+    golden = (DATA / "suite_max_q5_seed1.json").read_bytes()
     argv = ["suite", "--max-q", "5", "--seed", "1"]
     code, out = run(argv, capsys)
     assert code == 0
     assert out.encode() == golden
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-m", "fqgeom.cli", *argv],
-                          env=env, capture_output=True)
+    proc = run_optimized(argv)
     assert proc.returncode == 0
     assert proc.stdout == golden
+
+
+# the projective and Hermitian paths, pinned the same way: each command's
+# --out file byte for byte, and its report rows (the report's config echoes
+# the --out path) in tests/data/<name>.rows.json
+GOLDEN_OUTPUTS = {
+    "tangent_p2_alpha1-2_seed3.lines":
+        ["hermitian", "tangent-family", "--p", "2", "--alpha", "1/2", "--seed", "3"],
+    "tangent_p3_alpha1-8_seed1.lines":
+        ["hermitian", "tangent-family", "--p", "3", "--alpha", "1/8", "--seed", "1"],
+    "harness_hermitian_q4_seed7.jsonl":
+        ["nikodym", "harness", "--generator", "hermitian", "--q", "4",
+         "--trials", "5", "--seed", "7"],
+    "harness_conic_dual_q7_seed7.jsonl":
+        ["nikodym", "harness", "--generator", "conic-dual", "--q", "7",
+         "--trials", "1", "--seed", "7"],
+}
+
+
+def report_rows(stdout: bytes) -> bytes:
+    rows = json.loads(stdout)["rows"]
+    return (json.dumps(rows, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_outputs_match_committed_files(name, tmp_path, capsys):
+    argv = GOLDEN_OUTPUTS[name] + ["--out", str(tmp_path / name)]
+    golden = (DATA / name).read_bytes()
+    rows = (DATA / (name.rsplit(".", 1)[0] + ".rows.json")).read_bytes()
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert report_rows(out.encode()) == rows
+    assert (tmp_path / name).read_bytes() == golden
+    (tmp_path / name).unlink()
+    proc = run_optimized(argv)
+    assert proc.returncode == 0
+    assert report_rows(proc.stdout) == rows
+    assert (tmp_path / name).read_bytes() == golden
