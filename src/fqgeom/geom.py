@@ -1,21 +1,25 @@
-"""Points, lines and planes of AG(n,q) and PG(n,q), n <= 3.
+"""Points, lines and planes of AG(n,q), n <= 3, and of PG(n,q).
+
+PG(n,q) is an (N, n+1) array of normalized coordinate vectors (first
+nonzero coordinate 1) in lexicographic order, and a point's id is its
+row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  Its
+lines are batched (ProjSpace.line_ids), and one orthogonality product
+(ProjSpace.orthogonal, through the array-valued FieldCtx.dot) gives
+hyperplanes, the hyperplanes through a line, and perpendicular directions.
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
-coordinate vector, coordinate 0 least significant).  Directions are
-normalized vectors (first nonzero coordinate 1), the points of
-PG(n-1,q); a line is the pair (direction id, index of its least point),
-which makes dedup and cross-run ordering trivial.  AffineSpace.line_points
-lists the points of any number of lines at once.
+coordinate vector, coordinate 0 least significant).  Directions are the
+points of PG(n-1,q); a line is the pair (direction id, index of its least
+point), which makes dedup and cross-run ordering trivial.
+AffineSpace.line_points lists the points of any number of lines at once.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .gf import TABLE_LIMIT, FieldCtx, field_of_order, NonPrime
-from .linalg import nullspace
 
 
 class UnsupportedField(ValueError):
@@ -36,21 +40,13 @@ class AffineSpace:
     def __init__(self, q: int, n: int):
         if n not in (2, 3):
             raise UnsupportedField(f"n = {n} unsupported (need 2 or 3)")
-        try:
-            self.ctx: FieldCtx = field_of_order(q)
-        except NonPrime as e:
-            raise UnsupportedField(str(e))
-        if q > TABLE_LIMIT:
-            raise UnsupportedField(f"q = {q} exceeds the field-table limit {TABLE_LIMIT}")
+        # the directions are the points of PG(n-1, q)
+        self.proj = proj_space(q, n - 1)
+        self.ctx: FieldCtx = self.proj.ctx
         self.q = q
         self.n = n
         self.npoints = q ** n
-        # the directions are the points of PG(n-1, q): normalized vectors
-        # (first nonzero coordinate 1), sorted by coordinate tuple
-        self.proj = proj_space(q, n - 1)
         self.directions = self.proj.points
-        self.dir_index = self.proj.point_index
-        self._dir_array = np.array(self.directions)
         self.ndirs = len(self.directions)  # (q^n - 1)/(q - 1)
         self.nlabels = q ** (n - 1)  # lines per direction
         self._perp: list | None = None
@@ -83,7 +79,7 @@ class AffineSpace:
         shape (q,), k lines give (k, q)."""
         addt, mult = self.ctx.add_table, self.ctx.mul_table
         q = self.q
-        d = self._dir_array[np.asarray(dir_ids, dtype=np.int64)]
+        d = self.proj.array[np.asarray(dir_ids, dtype=np.int64)]
         b = np.asarray(bases, dtype=np.int64)[..., None]
         t = np.arange(q)
         pts = 0
@@ -141,17 +137,13 @@ class AffineSpace:
 
     # -- planes (n = 3); a plane is (normal_dir_id, offset) --
 
-    def perp_dir_ids(self, dir_id: int):
-        """Ids of normalized vectors orthogonal to the given direction."""
+    def perp_dir_ids(self, dir_id: int) -> np.ndarray:
+        """Ids of the directions orthogonal to the given direction."""
         if self._perp is None:
             self._perp = [None] * self.ndirs
         if self._perp[dir_id] is None:
-            addt, mult = self.ctx.add_table, self.ctx.mul_table
-            d = self.directions[dir_id]
-            acc = np.zeros(self.ndirs, dtype=np.int64)
-            for i in range(self.n):
-                acc = addt[acc, mult[self._dir_array[:, i], d[i]]]
-            self._perp[dir_id] = tuple(int(i) for i in np.flatnonzero(acc == 0))
+            self._perp[dir_id] = np.flatnonzero(
+                self.proj.orthogonal(self.proj.array[[dir_id]]))
         return self._perp[dir_id]
 
     def all_planes(self):
@@ -160,22 +152,23 @@ class AffineSpace:
 
     def plane_points(self, plane):
         m, c = plane
-        normal = self.directions[m]
-        return [p for p in self.points() if self.ctx.dot(normal, self.coords(p)) == c]
+        x = np.arange(self.npoints)[:, None] // self.q ** np.arange(self.n) % self.q
+        return np.flatnonzero(self.ctx.dot(x, self.proj.array[m]) == c).tolist()
 
     def planes_through_line(self, line):
         """The q+1 planes of AG(3,q) containing an affine line."""
         assert self.n == 3
         dir_id, base = line
-        b = self.coords(base)
-        return [(m, self.ctx.dot(self.directions[m], b)) for m in self.perp_dir_ids(dir_id)]
+        m = self.perp_dir_ids(dir_id)
+        c = self.ctx.dot(self.proj.array[m], self.coords(base))
+        return list(zip(m.tolist(), c.tolist()))
 
     def lines_in_plane(self, plane):
         """The q(q+1) lines contained in a plane, canonical order."""
         assert self.n == 3
         on_plane = np.array(self.plane_points(plane))
         out = []
-        for d in self.perp_dir_ids(plane[0]):
+        for d in self.perp_dir_ids(plane[0]).tolist():
             labels = self.line_labels(d)
             bases = self.line_bases(labels)[np.unique(labels[on_plane])]
             out.extend((d, int(b)) for b in bases)
@@ -307,77 +300,83 @@ def enumerate_lines(q: int, n: int = 3) -> LineFamily:
 # ---------------------------------------------------------------------------
 
 class ProjSpace:
-    """PG(n, q): normalized homogeneous coordinate tuples of length n+1."""
+    """PG(n, q) as an (N, n+1) array of normalized coordinate vectors in
+    lexicographic order; a point's id is its row."""
 
     def __init__(self, q: int, n: int):
         try:
             self.ctx = field_of_order(q)
         except NonPrime as e:
             raise UnsupportedField(str(e))
+        if q > TABLE_LIMIT:
+            raise UnsupportedField(f"q = {q} exceeds the field-table limit {TABLE_LIMIT}")
         self.q = q
         self.n = n
-        pts = []
-        for v in product(range(q), repeat=n + 1):
-            if any(v):
-                first = next(x for x in v if x)
-                if first == 1:
-                    pts.append(v)
-        pts.sort()
-        self.points = pts
-        self.point_index = {v: i for i, v in enumerate(pts)}
+        # a vector packs base q to v @ weights, weights[j] = q^(n-j); the
+        # points with their leading 1 at position i pack to [w, 2w) for
+        # w = q^(n-i), in order, and take the ids from (w - 1)/(q - 1) on
+        self.weights = q ** np.arange(n, -1, -1)
+        packed = np.concatenate([np.arange(w, 2 * w) for w in self.weights[::-1]])
+        self.array = packed[:, None] // self.weights % q
+
+    @cached_property
+    def points(self):
+        """The points as coordinate tuples, indexed by id."""
+        return list(map(tuple, self.array.tolist()))
+
+    def ids(self, vecs) -> np.ndarray:
+        """Ids of the points spanned by nonzero vectors on the last axis;
+        ValueError on a zero vector."""
+        v = np.asarray(vecs, dtype=np.int64)
+        if not v.any(axis=-1).all():
+            raise ValueError("zero vector has no projective point")
+        lead = (v != 0).argmax(axis=-1)
+        v = self.ctx.vmul(v, self.ctx.inv_table[np.take_along_axis(v, lead[..., None], -1)])
+        top = self.weights[lead]
+        return v @ self.weights - top + (top - 1) // (self.q - 1)
 
     def normalize(self, vec):
         """Scale a nonzero vector so its first nonzero coordinate is 1;
         ValueError on the zero vector."""
-        ctx = self.ctx
-        vec = tuple(vec)
-        first = next((x for x in vec if x), None)
-        if first is None:
-            raise ValueError("zero vector has no projective point")
-        inv = ctx.inv(first)
-        return tuple(ctx.mul(inv, x) for x in vec)
+        return self.points[self.ids(vec)]
+
+    def line_ids(self, u, v) -> np.ndarray:
+        """Sorted ids of the q+1 points u - t*v (t in GF(q)) and v of the
+        line through u and v, for vectors on the last axis (other axes
+        broadcast); ValueError when u and v span no line."""
+        u = np.asarray(u, dtype=np.int64)[..., None, :]
+        v = np.asarray(v, dtype=np.int64)[..., None, :]
+        w = self.ctx.vsubmul(u, np.arange(self.q)[:, None], v)
+        w = np.concatenate([w, np.broadcast_to(v, w[..., :1, :].shape)], axis=-2)
+        return np.sort(self.ids(w), axis=-1)
 
     def line_points(self, u, v):
         """Point tuples of the projective line through distinct points u, v."""
-        ctx = self.ctx
-        pts = [self.normalize(v)]
-        for lam in range(self.q):
-            w = tuple(ctx.add(a, ctx.mul(lam, b)) for a, b in zip(u, v))
-            pts.append(self.normalize(w))
-        pts = sorted(set(pts))
-        assert len(pts) == self.q + 1
-        return tuple(pts)
+        return tuple(self.points[i] for i in self.line_ids(u, v).tolist())
 
     def all_lines(self):
-        """Every projective line once, as a sorted tuple of point tuples."""
-        seen = set()
-        out = []
-        for i, u in enumerate(self.points):
-            for v in self.points[i + 1:]:
-                ln = self.line_points(u, v)
-                key = ln[:2]
-                if key not in seen:
-                    seen.add(key)
-                    out.append(ln)
-        out.sort()
-        return out
+        """Every projective line once, as a sorted tuple of point tuples: each
+        is spanned by a point of x0 = 0 (the first (q^n - 1)/(q - 1) ids) and
+        a point of larger id."""
+        m = (self.q ** self.n - 1) // (self.q - 1)
+        i, j = np.nonzero(np.triu(np.ones((m, len(self.array)), dtype=bool), 1))
+        lines = np.unique(self.line_ids(self.array[i], self.array[j]), axis=0)
+        return [tuple(self.points[k] for k in ln) for ln in lines.tolist()]
+
+    def orthogonal(self, rows) -> np.ndarray:
+        """Mask over the ids of the points x with r.x = 0 for every row r:
+        rows of shape (..., k, n+1) give a mask of shape (..., N)."""
+        rows = np.asarray(rows, dtype=np.int64)[..., None, :]
+        return ~self.ctx.dot(self.array, rows).any(axis=-2)
 
     def hyperplane_points(self, coeffs):
-        return [x for x in self.points if self.ctx.dot(coeffs, x) == 0]
+        """Points x with c.x = 0 for the coefficient vector c, or for every
+        row c of a matrix."""
+        return [self.points[i] for i in np.flatnonzero(self.orthogonal(np.atleast_2d(coeffs)))]
 
     def hyperplanes_through_line(self, u, v):
-        """Normalized coefficient vectors of hyperplanes containing both:
-        the nonzero combinations of the n-1 kernel vectors of [u; v]."""
-        ctx = self.ctx
-        addt, mult = ctx.add_table, ctx.mul_table
-        basis = nullspace([u, v], ctx)
-        combos = np.array(list(product(range(self.q), repeat=len(basis)))[1:])
-        w = np.zeros((len(combos), self.n + 1), dtype=np.int64)
-        for j, row in enumerate(basis):
-            w = addt[w, mult[combos[:, j, None], row]]
-        lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
-        w = mult[ctx.inv_table[lead][:, None], w]
-        return sorted(set(map(tuple, w.tolist())))
+        """The hyperplanes containing u and v, as the points orthogonal to both."""
+        return self.hyperplane_points([u, v])
 
 
 @lru_cache(maxsize=None)
@@ -392,17 +391,13 @@ def conic_dual_lines(q: int):
     if q < 3:
         raise UnsupportedField("conic dual needs q >= 3")
     pg = proj_space(q, 2)
-    ctx = pg.ctx
-    out = [pg.normalize((t, ctx.mul(t, t), 1)) for t in range(q)]
-    out.append((0, 1, 0))
-    return sorted(out)
+    t = np.arange(q)
+    ids = pg.ids(np.stack([t, pg.ctx.vmul(t, t), np.ones_like(t)], axis=1))
+    return sorted([pg.points[i] for i in ids.tolist()] + [(0, 1, 0)])
 
 
 def max_line_coincidence(q: int, line_coeffs) -> int:
     """Largest number of the given PG(2,q) lines through a single point."""
     pg = proj_space(q, 2)
-    best = 0
-    for x in pg.points:
-        c = sum(1 for ln in line_coeffs if pg.ctx.dot(ln, x) == 0)
-        best = max(best, c)
-    return best
+    on = pg.orthogonal(np.reshape(line_coeffs, (-1, 1, 3)))  # (lines, points)
+    return int(on.sum(axis=0).max())

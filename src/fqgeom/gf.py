@@ -239,14 +239,20 @@ class FieldCtx:
             raise WrongDegree("conjugation requires k = 2")
         return self.pow(a, self.p)
 
-    def dot(self, u, v) -> int:
-        """Sum of the products of corresponding entries of u and v."""
-        acc = 0
-        for a, b in zip(u, v):
-            acc = self.add(acc, self.mul(a, b))
-        return acc
-
     # -- array kernel: elementwise on numpy arrays of codes, broadcasting --
+
+    def dot(self, u, v):
+        """Sum over the last axis of the products of u and v, the other axes
+        broadcast against each other; an int for two vectors."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if self.k == 1:
+            acc = np.einsum("...i,...i->...", u, v) % self.p
+        else:
+            acc = 0
+            for i in range(u.shape[-1]):
+                acc = self.add_table[acc, self.mul_table[u[..., i], v[..., i]]]
+        return int(acc) if np.ndim(acc) == 0 else acc
 
     def vmul(self, a, b):
         """Elementwise product a*b."""

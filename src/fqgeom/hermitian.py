@@ -2,12 +2,18 @@
 point enumeration, rank and singular space, line classification, tangent
 spaces, and the tangent-line families used to probe plane-occupancy
 behaviour of large line sets.
+
+The form x^T H conj(x) is evaluated over the whole point array of
+PG(n, q), conjugation being the p-th power, and a variety keeps its
+membership mask over point ids; lines are rows of point ids.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from math import isqrt
+
+import numpy as np
 
 from .gf import FieldCtx, make_field
 from .geom import LineFamily, affine_space, proj_space
@@ -37,15 +43,6 @@ class WholeSpace:
         return "WholeSpace()"
 
 
-def _square_ctx(p: int) -> FieldCtx:
-    return make_field(p, 2)
-
-
-def _require_square(ctx: FieldCtx):
-    if ctx.k != 2:
-        raise NonSquareField(f"GF({ctx.q}) is not a square-order field (k={ctx.k})")
-
-
 # ---------------------------------------------------------------------------
 # matrices and varieties
 # ---------------------------------------------------------------------------
@@ -56,7 +53,8 @@ class HermitianMatrix:
     entries: tuple  # (n+1) x (n+1), row-major tuple of tuples
 
     def __post_init__(self):
-        _require_square(self.ctx)
+        if self.ctx.k != 2:
+            raise NonSquareField(f"GF({self.ctx.q}) is not a square-order field (k={self.ctx.k})")
         m = self.entries
         size = len(m)
         for row in m:
@@ -72,29 +70,20 @@ class HermitianMatrix:
         return len(self.entries)
 
     def apply_conj(self, x):
-        """The vector H * conj(x)."""
+        """H * conj(x) for vectors x on the last axis (other axes batch)."""
         ctx = self.ctx
-        xc = [ctx.conj(v) for v in x]
-        return tuple(ctx.dot(row, xc) for row in self.entries)
-
-    def form(self, x, y) -> int:
-        """x^T H conj(y)."""
-        return self.ctx.dot(x, self.apply_conj(y))
+        xc = ctx.pow_table[np.asarray(x, dtype=np.int64), ctx.p]
+        return ctx.dot(np.array(self.entries), xc[..., None, :])
 
 
 def identity_hermitian(p: int, n: int) -> HermitianMatrix:
-    ctx = _square_ctx(p)
-    size = n + 1
-    rows = tuple(
-        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-    )
-    return HermitianMatrix(ctx, rows)
+    return HermitianMatrix(make_field(p, 2), tuple(map(tuple, np.eye(n + 1, dtype=int).tolist())))
 
 
 def random_hermitian(p: int, n: int, seed: int) -> HermitianMatrix:
     """Uniform Hermitian matrix: random upper triangle over GF(p^2),
     diagonal restricted to the fixed field of conjugation."""
-    ctx = _square_ctx(p)
+    ctx = make_field(p, 2)
     rng = random.Random(seed)
     size = n + 1
     fixed = [a for a in ctx.elements() if ctx.conj(a) == a]
@@ -114,6 +103,7 @@ class HermitianVariety:
     points: list = field(default_factory=list)   # normalized tuples
     rank: int = 0
     singular_points: list = field(default_factory=list)
+    mask: np.ndarray = None  # membership, indexed by PG(n, q) point id
 
     @property
     def q(self) -> int:
@@ -124,7 +114,7 @@ class HermitianVariety:
         return self.rank == self.n + 1
 
     def contains(self, x) -> bool:
-        return self.H.form(x, x) == 0
+        return bool(self.mask[proj_space(self.q, self.n).ids(x)])
 
 
 def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
@@ -134,20 +124,20 @@ def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
         raise NotHermitian(f"matrix size {H.size} does not match n = {n}")
     ctx = H.ctx
     pg = proj_space(ctx.q, n)
-    pts = [x for x in pg.points if H.form(x, x) == 0]
+    mask = ctx.dot(pg.array, H.apply_conj(pg.array)) == 0
+    pts = [pg.points[i] for i in np.flatnonzero(mask)]
     r = len(rref(H.entries, ctx)[1])
     singular = []
     if r < n + 1:
-        # c^T H = 0  <=>  H^T c = 0: a kernel of dimension n+1-r
-        cols = [[H.entries[i][j] for i in range(n + 1)] for j in range(n + 1)]
-        singular = [x for x in pg.points
-                    if all(ctx.dot(x, col) == 0 for col in cols)]
+        # c^T H = 0: c is orthogonal to every column of H, a kernel of
+        # dimension n+1-r
+        singular = pg.hyperplane_points(np.array(H.entries).T)
         expected = (ctx.q ** (n + 1 - r) - 1) // (ctx.q - 1)
         if len(singular) != expected:
             raise AssertionError(
                 f"{len(singular)} singular points; rank {r} needs {expected}"
             )
-    return HermitianVariety(H, n, pts, r, singular)
+    return HermitianVariety(H, n, pts, r, singular, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -182,51 +172,55 @@ def degenerate_count(n: int, q: int, r: int) -> int:
 # lines and tangency
 # ---------------------------------------------------------------------------
 
+def _meet_sizes(V: HermitianVariety, lines) -> np.ndarray:
+    """The number of points of V on each line (point ids on the last axis);
+    InternalClassificationError unless each is 1, sqrt(q)+1 or q+1."""
+    q, r = V.q, _root_q(V.q)
+    sizes = V.mask[lines].sum(axis=-1)
+    bad = ~np.isin(sizes, (1, r + 1, q + 1))
+    if bad.any():
+        raise InternalClassificationError(
+            f"line meets variety in {sizes[bad][0]} points "
+            f"(allowed: 1, {r + 1}, {q + 1})"
+        )
+    return sizes
+
+
 def classify_line(V: HermitianVariety, line_points) -> str:
     """'tangent' (1 point), 'secant' (sqrt(q)+1), or 'contained' (q+1);
     anything else raises InternalClassificationError."""
-    q = V.q
-    r = _root_q(q)
-    size = sum(1 for x in line_points if V.contains(x))
-    if size == 1:
-        return "tangent"
-    if size == r + 1:
-        return "secant"
-    if size == q + 1:
-        return "contained"
-    raise InternalClassificationError(
-        f"line meets variety in {size} points (allowed: 1, {r + 1}, {q + 1})"
-    )
+    size = _meet_sizes(V, proj_space(V.q, V.n).ids([line_points]))[0]
+    return {1: "tangent", _root_q(V.q) + 1: "secant", V.q + 1: "contained"}[size]
 
 
 def tangent_space(V: HermitianVariety, c):
     """Coefficient vector of the tangent hyperplane {x : x^T H conj(c) = 0}
-    at a non-singular point c of V, or WholeSpace() at a singular point."""
-    assert V.contains(c), "tangent space requires a variety point"
+    at a non-singular point c of V, or WholeSpace() at a singular point;
+    ValueError when c is not on V."""
+    if not V.contains(c):
+        raise ValueError(f"tangent space requires a variety point, got {c}")
     w = V.H.apply_conj(c)
-    if all(v == 0 for v in w):
+    if not w.any():
         return WholeSpace()
-    return w
+    return tuple(w.tolist())
 
 
 def tangent_lines_at(V: HermitianVariety, c) -> list:
     """The q - sqrt(q) lines through non-singular c in V meeting V only
-    at c, each as the sorted tuple of its q+1 points."""
-    pg = proj_space(V.q, V.n)
+    at c, each as the sorted tuple of its q+1 points, in the order of their
+    least point other than c; ValueError at a singular point."""
     w = tangent_space(V, c)
-    assert not isinstance(w, WholeSpace), "singular point has no tangent lines"
-    out = []
-    seen = set()
-    for x in pg.hyperplane_points(w):
-        if x == c:
-            continue
-        ln = pg.line_points(c, x)
-        if ln[:2] in seen:
-            continue
-        seen.add(ln[:2])
-        if classify_line(V, ln) == "tangent":
-            out.append(ln)
-    return out
+    if isinstance(w, WholeSpace):
+        raise ValueError(f"singular point {c} has no tangent lines")
+    pg = proj_space(V.q, V.n)
+    others = pg.orthogonal([w])
+    others[pg.ids(c)] = False
+    lines = pg.line_ids(c, pg.array[others])
+    # a line through c comes once per point on it other than c; keep the first
+    _, first = np.unique(lines, axis=0, return_index=True)
+    lines = lines[np.sort(first)]
+    lines = lines[_meet_sizes(V, lines) == 1]
+    return [tuple(pg.points[i] for i in ln) for ln in lines.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -270,36 +264,42 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
     rng.shuffle(order)
     nP = int(alpha * len(V.points))
     P = order[:nP]
-    pset = set(P)
     lines = []
-    seen = set()
     for c in P:
         tls = tangent_lines_at(V, c)
-        assert len(tls) == q - r, f"{len(tls)} tangent lines at {c}"
-        for ln in tls:
-            assert ln[:2] not in seen, "tangent line shared by two points"
-            seen.add(ln[:2])
-            lines.append(ln)
-    assert len(lines) == (q - r) * len(P)
+        if len(tls) != q - r:
+            raise AssertionError(f"{len(tls)} tangent lines at {c}, not q - sqrt(q) = {q - r}")
+        lines += tls
+    ids = pg.ids(np.array(lines, dtype=np.int64).reshape(-1, q + 1, V.n + 1))
+    # two distinct lines share at most one point
+    first_two = np.sort(ids[:, 0] * len(pg.array) + ids[:, 1])
+    if (np.diff(first_two) == 0).any():
+        raise AssertionError("tangent line shared by two points")
 
-    covered = set()
-    for ln in lines:
-        covered.update(ln)
-    uncovered_variety = [x for x in V.points if x not in pset and x not in covered]
+    covered = np.zeros(len(pg.array), dtype=bool)
+    covered[ids] = True
+    sampled = np.zeros(len(pg.array), dtype=bool)
+    sampled[pg.ids(np.array(P, dtype=np.int64).reshape(-1, V.n + 1))] = True
     # every point of V \ P must be uncovered: a line of L meets V only at
     # its base point, which lies in P
-    assert len(uncovered_variety) == len(V.points) - len(P)
+    uncovered_variety = int((V.mask & ~sampled & ~covered).sum())
+    if uncovered_variety != len(V.points) - len(P):
+        raise AssertionError(
+            f"{len(V.points) - len(P) - uncovered_variety} unsampled variety "
+            "points lie on a tangent line"
+        )
 
-    # max plane occupancy (reported only)
-    occupancy = {}
-    for ln in lines:
-        for h in pg.hyperplanes_through_line(ln[0], ln[1]):
-            occupancy[h] = occupancy.get(h, 0) + 1
-    max_occ = max(occupancy.values()) if occupancy else 0
+    # max plane occupancy (reported only): the planes through a line are
+    # the points orthogonal to two of its points, taken a chunk of lines at
+    # a time
+    occupancy = np.zeros(len(pg.array), dtype=np.int64)
+    step = max(1, (1 << 13) // len(pg.array))
+    for start in range(0, len(ids), step):
+        occupancy += pg.orthogonal(pg.array[ids[start:start + step, :2]]).sum(axis=0)
 
-    # affine restriction: drop the hyperplane x0 = 0
-    affine_points = {x for x in covered if x[0] != 0}
-    affine_lines = [ln for ln in lines if any(x[0] != 0 for x in ln)]
+    # affine restriction: drop the hyperplane x0 = 0, whose points are the
+    # ids below (q^n - 1)/(q - 1); a line's ids are sorted
+    at_infinity = (q ** V.n - 1) // (q - 1)
 
     fam = TangentLineFamily(
         V, alpha.numerator, alpha.denominator, seed, P, lines
@@ -312,11 +312,11 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
         "nP": len(P),
         "nL": len(lines),
         "nL_expected": (q - r) * len(P),
-        "covered_projective": len(covered),
-        "uncovered_variety_points": len(uncovered_variety),
-        "covered_affine": len(affine_points),
-        "nL_affine": len(affine_lines),
-        "max_plane_occupancy": max_occ,
+        "covered_projective": int(covered.sum()),
+        "uncovered_variety_points": uncovered_variety,
+        "covered_affine": int(covered[at_infinity:].sum()),
+        "nL_affine": int((ids[:, -1] >= at_infinity).sum()),
+        "max_plane_occupancy": int(occupancy.max()),
     }
     return fam, report
 
@@ -325,17 +325,10 @@ def affine_chart_family(family: TangentLineFamily) -> LineFamily:
     """The lines of a tangent-line family in PG(3,q) that leave the
     hyperplane x0 = 0, as lines of AG(3,q) through the x0 = 1 chart."""
     sp = affine_space(family.V.q, 3)
-    ctx = sp.ctx
-    dirs, pts = [], []
-    for ln in family.lines:
-        finite = [x for x in ln if x[0] != 0]
-        if len(finite) < 2:
-            continue
-        # x = (1, a1, a2, a3) after scaling by x0^{-1}
-        aff = [tuple(ctx.mul(ctx.inv(x[0]), v) for v in x[1:]) for x in finite[:2]]
-        dirs.append(sp.dir_index[sp.proj.normalize(
-            tuple(ctx.sub(a, b) for a, b in zip(aff[0], aff[1]))
-        )])
-        pts.append(sp.index(aff[0]))
-    bases = sp.line_points(dirs, pts).min(axis=1)
-    return LineFamily(sp, zip(dirs, bases.tolist()))
+    pts = np.array(family.lines, dtype=np.int64).reshape(-1, sp.q + 1, 4)
+    # a line's points are normalized and sorted, so one that leaves x0 = 0
+    # lists its point there first and then q points (1, a1, a2, a3)
+    pts = pts[pts[:, 1, 0] == 1][:, 1:3, 1:]
+    dirs = sp.proj.ids(sp.ctx.vsubmul(pts[:, 0], 1, pts[:, 1]))
+    bases = sp.line_points(dirs, pts[:, 0] @ sp.q ** np.arange(3)).min(axis=1)
+    return LineFamily(sp, zip(dirs.tolist(), bases.tolist()))

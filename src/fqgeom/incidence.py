@@ -230,7 +230,7 @@ def generate_planes(q: int, count: int, kind: str, seed: int = 0):
         return out
     if kind == "pencil":
         # planes through the line {t*(1,0,0)}, then spill into parallels
-        line = sp.canonical_line(sp.dir_index[(1, 0, 0)], 0)
+        line = sp.canonical_line(int(sp.proj.ids((1, 0, 0))), 0)
         pencil = sp.planes_through_line(line)
         rest = [pl for pl in allp if pl not in set(pencil)]
         out = (pencil + rest)[:count]

@@ -11,6 +11,8 @@ Polynomial files: header `q n`, then one monomial per row as
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .geom import LineFamily, PointSet, affine_space
 from .gf import field_of_order
 from .poly import MonomialBasis, MultiPoly
@@ -86,7 +88,7 @@ def load_linefamily(path: str) -> LineFamily:
             raise FormatError(f"{path} holds {kind}, not lines")
         sp = affine_space(q, n)
         ctx = sp.ctx
-        dirs, pts = [], []
+        vecs, pts = [], []
         for line in fh:
             toks = line.split()
             if not toks:
@@ -97,10 +99,11 @@ def load_linefamily(path: str) -> LineFamily:
             vec, pt = tuple(vals[:n]), tuple(vals[n:])
             if not any(vec):
                 raise FormatError(f"line row has a zero direction: {line!r}")
-            dirs.append(sp.dir_index[sp.proj.normalize(vec)])
+            vecs.append(vec)
             pts.append(sp.index(pt))
+    dirs = sp.proj.ids(np.array(vecs, dtype=np.int64).reshape(-1, n))
     bases = sp.line_points(dirs, pts).min(axis=1)
-    return LineFamily(sp, zip(dirs, bases.tolist()))
+    return LineFamily(sp, zip(dirs.tolist(), bases.tolist()))
 
 
 def save_poly(g: MultiPoly, path: str):

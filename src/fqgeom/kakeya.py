@@ -125,13 +125,14 @@ def build_thin_kakeya_set(q: int) -> PointSet:
         raise EvenFieldUnsupported("construction needs odd q")
     sp = affine_space(q, 3)
     inv2 = ctx.inv(2 % q)
-    dirs, bases = [], []
+    vecs, bases = [], []
     for b1 in range(q):
         for b2 in range(q):
             h1 = ctx.mul(inv2, b1)
             h2 = ctx.mul(inv2, b2)
             bases.append(sp.index((ctx.mul(h1, h1), ctx.mul(h2, h2), 0)))
-            dirs.append(sp.dir_index[sp.proj.normalize((b1, b2, 1))])
+            vecs.append((b1, b2, 1))
+    dirs = sp.proj.ids(vecs).tolist()
     for d, vec in enumerate(sp.directions):
         if vec[2] == 0:
             dirs.append(d)

@@ -51,9 +51,6 @@ class NikodymWitness:
     pointset: PointSet
     assignment: dict  # complement point index -> line (dir_id, base)
 
-    def complement_size(self) -> int:
-        return len(self.pointset.complement())
-
 
 @dataclass
 class FailingPoints:
@@ -141,19 +138,23 @@ def build_conic_dual_line_family(q: int, fraction=Fraction(62, 100)):
     if k > q + 1:
         raise UnsupportedField(f"only q+1 = {q + 1} conic-dual lines exist")
     duals = conic_dual_lines(q)[:k]
-    assert max_line_coincidence(q, duals) <= 2
+    coincidence = max_line_coincidence(q, duals)
+    if coincidence > 2:
+        raise AssertionError(f"{coincidence} conic-dual lines share a point")
     sp = affine_space(q, 3)
     fam = LineFamily(sp)
-    planes = [(sp.dir_index[sp.proj.normalize(c)], 0) for c in duals]
+    planes = [(d, 0) for d in sp.proj.ids(duals).tolist()]
     for pl in planes:
         for ln in sp.lines_in_plane(pl):
             fam.add(ln)
     P = fam.union_points()
     nL_expected = k * q * (q + 1) - comb(k, 2)
     nP_expected = k * q * q - (q - 1) * comb(k, 2) - (k - 1)
-    assert len(fam) == nL_expected
-    assert len(P) == nP_expected
-    assert len(fam) >= k * q * (q + 1) - comb(k, 2)
+    if (len(fam), len(P)) != (nL_expected, nP_expected):
+        raise AssertionError(
+            f"{len(fam)} lines and {len(P)} points; the identities give "
+            f"{nL_expected} and {nP_expected}"
+        )
     report = {
         "q": q,
         "k": k,
@@ -162,7 +163,7 @@ def build_conic_dual_line_family(q: int, fraction=Fraction(62, 100)):
         "nL_identity": nL_expected,
         "nP": len(P),
         "nP_identity": nP_expected,
-        "max_dual_coincidence": max_line_coincidence(q, duals),
+        "max_dual_coincidence": coincidence,
         "ratio": len(P) / q ** 3,
     }
     return fam, report

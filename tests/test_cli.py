@@ -28,6 +28,12 @@ def test_poly_count_non_prime_power_exits_2(capsys):
     assert out == ""
 
 
+def test_conic_family_untabled_field_exits_2(capsys):
+    code, out = run(["nikodym", "conic-family", "--q", "1031"], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["poly", "count", "--bogus", "1"]) == 2
 

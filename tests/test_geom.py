@@ -101,10 +101,15 @@ def test_normalize_dir():
     sp = affine_space(5, 3)
     assert sp.proj.normalize((2, 4, 0)) == (1, 2, 0)
     assert sp.proj.normalize((0, 3, 3)) == (0, 1, 1)
-    for vec in sp.directions:
-        assert sp.proj.normalize(vec) == vec
-    with pytest.raises(ValueError):
-        sp.proj.normalize((0, 0, 0))
+    for q in (5, 8, 9):
+        sp = affine_space(q, 3)
+        for vec in sp.directions:
+            assert sp.proj.normalize(vec) == vec
+            # every nonzero multiple normalizes back to the direction
+            for a in range(1, q):
+                assert sp.proj.normalize(tuple(sp.ctx.mul(a, x) for x in vec)) == vec
+        with pytest.raises(ValueError):
+            sp.proj.normalize((0, 0, 0))
 
 
 def test_pointset_basics():
@@ -137,19 +142,21 @@ def test_enumerate_lines_covers_space():
     assert len(fam.union_points()) == 27
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 3)])
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 3), (8, 2), (9, 2), (8, 3)])
 def test_proj_space_counts(q, n):
     pg = proj_space(q, n)
     assert len(pg.points) == (q ** (n + 1) - 1) // (q - 1)
     lines = pg.all_lines()
     if n == 2:
         assert len(lines) == len(pg.points)
+    if n == 3:
+        assert len(lines) == (q * q + 1) * (q * q + q + 1)
     for ln in lines[:20]:
         assert len(ln) == q + 1
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3),
-                                 (2, 4), (3, 4)])
+                                 (2, 4), (3, 4), (8, 2), (9, 2), (9, 3)])
 def test_hyperplanes_through_line_brute_force(q, n):
     pg = proj_space(q, n)
     dot = pg.ctx.dot
@@ -159,6 +166,29 @@ def test_hyperplanes_through_line_brute_force(q, n):
         expect = [c for c in pg.points if dot(c, u) == dot(c, v) == 0]
         assert len(expect) == (q ** (n - 1) - 1) // (q - 1)
         assert pg.hyperplanes_through_line(u, v) == expect
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 2), (9, 3), (2, 4)])
+def test_proj_point_ids_are_rows(q, n):
+    # the rows are every normalized vector once, in lexicographic order,
+    # and the arithmetic id of any nonzero multiple of a row is that row
+    pg = proj_space(q, n)
+    rows = pg.array.tolist()
+    assert len(rows) == (q ** (n + 1) - 1) // (q - 1)
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+    assert all(next(x for x in r if x) == 1 for r in rows)
+    assert pg.ids(pg.array).tolist() == list(range(len(rows)))
+    rng = np.random.default_rng(q + n)
+    scale = rng.integers(1, q, len(rows))
+    scaled = [[pg.ctx.mul(int(a), x) for x in r] for a, r in zip(scale, rows)]
+    assert pg.ids(scaled).tolist() == list(range(len(rows)))
+
+
+def test_proj_space_rejects_untabled_field():
+    # refused before any point is built: PG(2, 1031) has about 10^6 points,
+    # and its coordinate grid 1031^3
+    with pytest.raises(UnsupportedField):
+        proj_space(1031, 2)
 
 
 def test_pg34_sizes():

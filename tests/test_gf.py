@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fqgeom.gf import (
@@ -102,6 +103,33 @@ def test_frobenius_helper():
     ctx = make_field(2, 2)
     for a in ctx.elements():
         assert frobenius_conjugate(ctx, a) == ctx.pow(a, 2)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_array_dot_matches_scalar_arithmetic(q):
+    ctx = field_of_order(q)
+    rng = np.random.default_rng(q)
+
+    def scalar_dot(u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            acc = ctx.add(acc, ctx.mul(a, b))
+        return acc
+
+    # (shape of u, shape of v): equal batches, and batches broadcast both ways
+    for su, sv in [((4,), (4,)), ((30, 4), (30, 4)), ((30, 3), (3,)),
+                   ((5, 1, 4), (7, 4)), ((2, 6, 1, 5), (6, 3, 5))]:
+        u = rng.integers(0, q, su)
+        v = rng.integers(0, q, sv)
+        got = ctx.dot(u, v)
+        ub, vb = np.broadcast_arrays(u, v)
+        want = [scalar_dot(a, b) for a, b in zip(ub.reshape(-1, su[-1]).tolist(),
+                                                 vb.reshape(-1, sv[-1]).tolist())]
+        if len(su) == len(sv) == 1:
+            assert isinstance(got, int) and got == want[0]
+        else:
+            assert got.shape == ub.shape[:-1]
+            assert got.ravel().tolist() == want
 
 
 def test_field_of_order():

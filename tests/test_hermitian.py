@@ -133,6 +133,20 @@ def test_tangent_space_of_singular_point():
     assert isinstance(tangent_space(V, V.singular_points[0]), WholeSpace)
 
 
+def test_tangent_space_rejects_point_off_variety():
+    V = build_hermitian(identity_hermitian(2, 3), 3)
+    off = next(x for x in proj_space(4, 3).points if not V.contains(x))
+    with pytest.raises(ValueError):
+        tangent_space(V, off)
+
+
+def test_tangent_lines_at_singular_point_raises():
+    ctx = identity_hermitian(2, 2).ctx
+    V = build_hermitian(HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0))), 2)
+    with pytest.raises(ValueError):
+        tangent_lines_at(V, V.singular_points[0])
+
+
 def test_family_q4():
     V = build_hermitian(identity_hermitian(2, 3), 3)
     fam, rep = build_tangent_line_family(V, Fraction(1, 2), seed=3)
