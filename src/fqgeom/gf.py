@@ -246,12 +246,9 @@ class FieldCtx:
         broadcast against each other; an int for two vectors."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if self.k == 1:
-            acc = np.einsum("...i,...i->...", u, v) % self.p
-        else:
-            acc = 0
-            for i in range(u.shape[-1]):
-                acc = self.add_table[acc, self.mul_table[u[..., i], v[..., i]]]
+        acc = 0
+        for i in range(u.shape[-1]):
+            acc = self.add_table[acc, self.mul_table[u[..., i], v[..., i]]]
         return int(acc) if np.ndim(acc) == 0 else acc
 
     def vmul(self, a, b):

@@ -77,7 +77,12 @@ class HermitianMatrix:
 
 
 def identity_hermitian(p: int, n: int) -> HermitianMatrix:
-    return HermitianMatrix(make_field(p, 2), tuple(map(tuple, np.eye(n + 1, dtype=int).tolist())))
+    ctx = make_field(p, 2)
+    size = n + 1
+    rows = tuple(
+        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
+    )
+    return HermitianMatrix(ctx, rows)
 
 
 def random_hermitian(p: int, n: int, seed: int) -> HermitianMatrix:
@@ -278,11 +283,9 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
 
     covered = np.zeros(len(pg.array), dtype=bool)
     covered[ids] = True
-    sampled = np.zeros(len(pg.array), dtype=bool)
-    sampled[pg.ids(np.array(P, dtype=np.int64).reshape(-1, V.n + 1))] = True
     # every point of V \ P must be uncovered: a line of L meets V only at
-    # its base point, which lies in P
-    uncovered_variety = int((V.mask & ~sampled & ~covered).sum())
+    # its base point, which lies in P (and is covered)
+    uncovered_variety = int((V.mask & ~covered).sum())
     if uncovered_variety != len(V.points) - len(P):
         raise AssertionError(
             f"{len(V.points) - len(P) - uncovered_variety} unsampled variety "

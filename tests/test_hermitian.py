@@ -156,6 +156,22 @@ def test_family_q4():
     assert rep["uncovered_variety_points"] == 45 - 22
 
 
+@pytest.mark.parametrize("fault", ["count", "shared"])
+def test_family_claim_checks_fire(fault, monkeypatch):
+    # the family's claims are explicit checks: feed it one line too few at
+    # each point, or the same lines at every point
+    import fqgeom.hermitian as hm
+
+    V = build_hermitian(identity_hermitian(2, 3), 3)
+    first = tangent_lines_at(V, V.points[0])
+    fake = {"count": lambda V, c: tangent_lines_at(V, c)[1:],
+            "shared": lambda V, c: first}[fault]
+    monkeypatch.setattr(hm, "tangent_lines_at", fake)
+    with pytest.raises(AssertionError, match={"count": "tangent lines at",
+                                              "shared": "shared"}[fault]):
+        build_tangent_line_family(V, Fraction(1, 2), seed=3)
+
+
 def test_family_alpha_range():
     V = build_hermitian(identity_hermitian(2, 3), 3)
     with pytest.raises(AlphaOutOfRange):
