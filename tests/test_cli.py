@@ -155,14 +155,18 @@ def test_suite_deterministic(tmp_path, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-def run_optimized(argv):
-    """Run the CLI in a subprocess under `python -O`, which strips every
-    assert."""
+def python_optimized(*args):
+    """Run python in a subprocess under `python -O`, which strips every
+    assert, with this fqgeom on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-O", "-m", "fqgeom.cli", *argv],
-                          env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True)
+
+
+def run_optimized(argv):
+    """Run the CLI under `python -O`."""
+    return python_optimized("-m", "fqgeom.cli", *argv)
 
 
 def test_suite_stdout_matches_committed_output(capsys):
@@ -178,9 +182,10 @@ def test_suite_stdout_matches_committed_output(capsys):
     assert proc.stdout == golden
 
 
-# the projective and Hermitian paths, pinned the same way: each command's
-# --out file byte for byte, and its report rows (the report's config echoes
-# the --out path) in tests/data/<name>.rows.json
+# the projective, Hermitian and point-file paths, pinned the same way: each
+# command's --out file byte for byte, and its report rows (the report's
+# config echoes the --out path) in tests/data/<name>.rows.json.  A command
+# without --out (the `.json` names) has its whole stdout pinned instead.
 GOLDEN_OUTPUTS = {
     "tangent_p2_alpha1-2_seed3.lines":
         ["hermitian", "tangent-family", "--p", "2", "--alpha", "1/2", "--seed", "3"],
@@ -192,6 +197,21 @@ GOLDEN_OUTPUTS = {
     "harness_conic_dual_q7_seed7.jsonl":
         ["nikodym", "harness", "--generator", "conic-dual", "--q", "7",
          "--trials", "1", "--seed", "7"],
+    "kakeya_qr_q7.pts": ["kakeya", "build", "--q", "7", "--construction", "qr"],
+    "kakeya_thin_q9.pts": ["kakeya", "build", "--q", "9", "--construction", "thin"],
+    # the fractional pipeline at the benchmark's five (q, u, alpha) cases,
+    # with the CLI's retry cap of 1000 draws: the seeded draws and repair
+    # passes are pinned through the stage, the accepted size and attempts
+    "pipeline_q9_u1_alpha1-2_seed1.json":
+        ["kakeya", "pipeline", "--q", "9", "--u", "1", "--alpha", "1/2", "--seed", "1"],
+    "pipeline_q11_u1_alpha1-2_seed1.json":
+        ["kakeya", "pipeline", "--q", "11", "--u", "1", "--alpha", "1/2", "--seed", "1"],
+    "pipeline_q13_u1_alpha1-2_seed1.json":
+        ["kakeya", "pipeline", "--q", "13", "--u", "1", "--alpha", "1/2", "--seed", "1"],
+    "pipeline_q13_u1_alpha4-5_seed1.json":
+        ["kakeya", "pipeline", "--q", "13", "--u", "1", "--alpha", "4/5", "--seed", "1"],
+    "pipeline_q9_u2_alpha1-3_seed1.json":
+        ["kakeya", "pipeline", "--q", "9", "--u", "2", "--alpha", "1/3", "--seed", "1"],
 }
 
 
@@ -202,8 +222,17 @@ def report_rows(stdout: bytes) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
 def test_outputs_match_committed_files(name, tmp_path, capsys):
-    argv = GOLDEN_OUTPUTS[name] + ["--out", str(tmp_path / name)]
     golden = (DATA / name).read_bytes()
+    if name.endswith(".json"):
+        argv = GOLDEN_OUTPUTS[name]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert out.encode() == golden
+        proc = run_optimized(argv)
+        assert proc.returncode == 0
+        assert proc.stdout == golden
+        return
+    argv = GOLDEN_OUTPUTS[name] + ["--out", str(tmp_path / name)]
     rows = (DATA / (name.rsplit(".", 1)[0] + ".rows.json")).read_bytes()
     code, out = run(argv, capsys)
     assert code == 0
@@ -214,3 +243,26 @@ def test_outputs_match_committed_files(name, tmp_path, capsys):
     assert proc.returncode == 0
     assert report_rows(proc.stdout) == rows
     assert (tmp_path / name).read_bytes() == golden
+
+
+# the benchmark's pipeline cases with its own retry caps, which the CLI does
+# not take: the library call is pinned, in process and under `python -O`
+PIPELINE_CAPS_SCRIPT = """
+import json
+from fractions import Fraction
+from fqgeom.kakeya import fractional_pipeline
+cases = [(9, 1, "1/2", 2), (11, 1, "1/2", 40), (13, 1, "1/2", 1),
+         (13, 1, "4/5", 1), (9, 2, "1/3", 40)]
+reps = [fractional_pipeline(q, u, Fraction(a), 1, retry_cap=cap).to_dict()
+        for q, u, a, cap in cases]
+print(json.dumps(reps, sort_keys=True, indent=2))
+"""
+
+
+def test_pipeline_benchmark_caps_match_committed_output(capsys):
+    golden = (DATA / "pipeline_benchmark_caps_seed1.json").read_bytes()
+    exec(PIPELINE_CAPS_SCRIPT, {})
+    assert capsys.readouterr().out.encode() == golden
+    proc = python_optimized("-c", PIPELINE_CAPS_SCRIPT)
+    assert proc.returncode == 0
+    assert proc.stdout == golden

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from fqgeom.geom import LineFamily, PointSet, affine_space
@@ -75,3 +77,22 @@ def test_linefamily_zero_direction(tmp_path):
     bad.write_text("3 3 lines\n1 0 0 0 0 0\n0 0 0 1 2 0\n")
     with pytest.raises(FormatError, match="zero direction"):
         load_linefamily(str(bad))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_even_extension_field_files_match_committed_output(tmp_path):
+    # GF(8) tokens are three base-2 digits; seeded sets pin both writers
+    import random
+
+    rng = random.Random(8)
+    s = PointSet(8, 3, indices=rng.sample(range(512), 40))
+    sp = affine_space(8, 3)
+    fam = LineFamily(sp, rng.sample(sp.all_lines(), 30))
+    save_pointset(s, str(tmp_path / "s.pts"))
+    save_linefamily(fam, str(tmp_path / "f.lines"))
+    assert (tmp_path / "s.pts").read_bytes() == (DATA / "points_q8_seed8.pts").read_bytes()
+    assert (tmp_path / "f.lines").read_bytes() == (DATA / "lines_q8_seed8.lines").read_bytes()
+    assert load_pointset(str(DATA / "points_q8_seed8.pts")) == s
+    assert load_linefamily(str(DATA / "lines_q8_seed8.lines")).lines() == fam.lines()
