@@ -22,6 +22,12 @@ import numpy as np
 from .gf import TABLE_LIMIT, FieldCtx, field_of_order, NonPrime
 
 
+# the most points a ProjSpace holds: its (N, n+1) int64 array then takes at
+# most 512 MB at n = 3 (PG(3,169), p = 13 in the Hermitian commands, has
+# 4.9 million points)
+PROJ_POINT_LIMIT = 1 << 24
+
+
 class UnsupportedField(ValueError):
     pass
 
@@ -304,6 +310,10 @@ class ProjSpace:
     lexicographic order; a point's id is its row."""
 
     def __init__(self, q: int, n: int):
+        npoints = sum(q ** i for i in range(n + 1))
+        if npoints > PROJ_POINT_LIMIT:
+            raise UnsupportedField(
+                f"PG({n},{q}) has {npoints} points, over the limit {PROJ_POINT_LIMIT}")
         try:
             self.ctx = field_of_order(q)
         except NonPrime as e:

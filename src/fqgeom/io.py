@@ -11,9 +11,11 @@ Polynomial files: header `q n`, then one monomial per row as
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .geom import LineFamily, PointSet, affine_space
+from .geom import LineFamily, PointSet, affine_space, split_lines
 from .gf import field_of_order
 from .poly import MonomialBasis, MultiPoly
 
@@ -22,38 +24,49 @@ class FormatError(ValueError):
     pass
 
 
-def _elem_to_token(ctx, a: int) -> str:
-    digits = list(ctx.decode(a))[::-1]  # most significant first
-    return "-".join(str(d) for d in digits)
+@lru_cache(maxsize=None)
+def _codec(q: int):
+    """The token of every element code of GF(q), and the inverse dict."""
+    ctx = field_of_order(q)
+    tokens = ["-".join(map(str, reversed(ctx.decode(a)))) for a in range(q)]
+    return tokens, {t: a for a, t in enumerate(tokens)}
 
 
 def _token_to_elem(ctx, tok: str) -> int:
-    digits = [int(d) for d in tok.split("-")]
+    """Parse any token the format accepts, such as '01' for 1; the table
+    holds only the tokens the writer makes."""
+    try:
+        digits = [int(d) for d in tok.split("-")]
+    except ValueError:
+        raise FormatError(f"bad element token {tok!r} for GF({ctx.q})") from None
     if len(digits) != ctx.k or any(not 0 <= d < ctx.p for d in digits):
         raise FormatError(f"bad element token {tok!r} for GF({ctx.q})")
     return ctx.encode(digits[::-1])
 
 
+def _write_rows(path: str, header: str, q: int, rows: np.ndarray):
+    tokens = _codec(q)[0]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(" ".join(map(tokens.__getitem__, row)) + "\n"
+                      for row in rows.tolist())
+
+
+def _coords(sp, indices) -> np.ndarray:
+    """Coordinate rows of point indices (coordinate 0 first)."""
+    return np.asarray(indices, dtype=np.int64)[:, None] // sp.q ** np.arange(sp.n) % sp.q
+
+
 def save_pointset(pset: PointSet, path: str):
     sp = affine_space(pset.q, pset.n)
-    ctx = sp.ctx
-    with open(path, "w") as fh:
-        fh.write(f"{pset.q} {pset.n} points\n")
-        for idx in pset.indices():
-            row = " ".join(_elem_to_token(ctx, c) for c in sp.coords(int(idx)))
-            fh.write(row + "\n")
+    _write_rows(path, f"{pset.q} {pset.n} points", sp.q, _coords(sp, pset.indices()))
 
 
 def save_linefamily(fam: LineFamily, path: str):
     sp = fam.space
-    ctx = sp.ctx
-    with open(path, "w") as fh:
-        fh.write(f"{sp.q} {sp.n} lines\n")
-        for d, base in fam.lines():
-            vec = sp.directions[d]
-            pt = sp.coords(base)
-            row = " ".join(_elem_to_token(ctx, c) for c in (*vec, *pt))
-            fh.write(row + "\n")
+    dirs, bases = split_lines(fam.lines())
+    rows = np.concatenate([sp.proj.array[dirs], _coords(sp, bases)], axis=1)
+    _write_rows(path, f"{sp.q} {sp.n} lines", sp.q, rows)
 
 
 def _read_header(line: str):
@@ -63,22 +76,38 @@ def _read_header(line: str):
     return int(parts[0]), int(parts[1]), parts[2]
 
 
+def _read_rows(fh, ctx, width: int, kind: str) -> np.ndarray:
+    """The element codes of the remaining rows of width tokens, skipping
+    blank rows; a line row must not start with a zero direction."""
+    codes = _codec(ctx.q)[1]
+    ndir = width // 2 if kind == "line" else 0
+    flat = []
+    for line in fh:
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != width:
+            raise FormatError(f"{kind} row needs {width} tokens: {line!r}")
+        try:
+            vals = [codes[t] for t in toks]
+        except KeyError:
+            vals = [_token_to_elem(ctx, t) for t in toks]
+        if ndir and not any(vals[:ndir]):
+            raise FormatError(f"line row has a zero direction: {line!r}")
+        flat += vals
+    return np.array(flat, dtype=np.int64).reshape(-1, width)
+
+
 def load_pointset(path: str) -> PointSet:
     with open(path) as fh:
         q, n, kind = _read_header(fh.readline())
         if kind != "points":
             raise FormatError(f"{path} holds {kind}, not points")
         sp = affine_space(q, n)
-        ctx = sp.ctx
-        out = PointSet(q, n)
-        for line in fh:
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != n:
-                raise FormatError(f"point row needs {n} tokens: {line!r}")
-            out.add(sp.index(tuple(_token_to_elem(ctx, t) for t in toks)))
-        return out
+        rows = _read_rows(fh, sp.ctx, n, "point")
+    out = PointSet(q, n)
+    out.mask[rows @ q ** np.arange(n)] = True
+    return out
 
 
 def load_linefamily(path: str) -> LineFamily:
@@ -87,22 +116,9 @@ def load_linefamily(path: str) -> LineFamily:
         if kind != "lines":
             raise FormatError(f"{path} holds {kind}, not lines")
         sp = affine_space(q, n)
-        ctx = sp.ctx
-        vecs, pts = [], []
-        for line in fh:
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != 2 * n:
-                raise FormatError(f"line row needs {2 * n} tokens: {line!r}")
-            vals = [_token_to_elem(ctx, t) for t in toks]
-            vec, pt = tuple(vals[:n]), tuple(vals[n:])
-            if not any(vec):
-                raise FormatError(f"line row has a zero direction: {line!r}")
-            vecs.append(vec)
-            pts.append(sp.index(pt))
-    dirs = sp.proj.ids(np.array(vecs, dtype=np.int64).reshape(-1, n))
-    bases = sp.line_points(dirs, pts).min(axis=1)
+        rows = _read_rows(fh, sp.ctx, 2 * n, "line")
+    dirs = sp.proj.ids(rows[:, :n])
+    bases = sp.line_points(dirs, rows[:, n:] @ q ** np.arange(n)).min(axis=1)
     return LineFamily(sp, zip(dirs.tolist(), bases.tolist()))
 
 

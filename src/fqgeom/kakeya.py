@@ -5,7 +5,9 @@ an end-to-end computation at fixed q.
 The fractional parameter m = (a - d*a)u + (1 - a - d*a)(u+1) with
 d = q^(-1/3) is held exactly (rational plus cube-root term); every
 acceptance decision in the sampler and the degree caps is made in exact
-arithmetic by cubing, never with floats.
+arithmetic by cubing, never with floats.  A sampler window
+|c - alpha*s| < alpha*s*q^(-1/3) with alpha = a/b is decided on integer
+cubes, |b*c - a*s|^3 * q < (a*s)^3.
 """
 from __future__ import annotations
 
@@ -252,10 +254,10 @@ class SubsetSample:
 
 
 def _within_window(count: int, alpha: Fraction, scale: int, q: int) -> bool:
-    """|count - alpha*scale| < alpha*scale*q^(-1/3), exactly (by cubing)."""
-    target = alpha * scale
-    r = abs(Fraction(count) - target)
-    return r ** 3 * q < target ** 3
+    """|count - alpha*scale| < alpha*scale*q^(-1/3), exactly: with
+    alpha = a/b, multiplied through by b and cubed."""
+    a, b = alpha.numerator, alpha.denominator
+    return abs(b * count - a * scale) ** 3 * q < (a * scale) ** 3
 
 
 def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
@@ -264,50 +266,49 @@ def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
     each witness line, | |L∩S| - alpha*q | < d*alpha*q, d = q^(-1/3).
     Retries up to retry_cap seeded draws, then raises RetryExhausted."""
     alpha = Fraction(alpha)
-    assert 0 < alpha <= 1
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     q = K.q
     sp = affine_space(q, K.n)
     rng = random.Random(seed)
-    kpts = [int(i) for i in K.indices()]
+    kpts = K.indices().tolist()
     lines = list(witness.lines.values())
     line_pts = sp.line_points(*split_lines(lines))  # (len(lines), q), t order
     pts_lists = line_pts.tolist()
     a = float(alpha)
+    target = a * q  # picks the direction of a nudge; never accepts
+    inwin = [_within_window(c, alpha, q, q) for c in range(q + 1)]
     for attempt in range(1, retry_cap + 1):
         chosen = [p for p in kpts if rng.random() < a] if alpha < 1 else kpts
-        S = PointSet(q, K.n, indices=chosen)
+        mask = np.zeros(K.mask.size, dtype=bool)
+        mask[chosen] = True
+        buf = bytearray(mask.tobytes())
         # repair pass: nudge each out-of-window line by toggling its own
         # points (witness lines pairwise share at most one point, so the
         # nudges barely interact); the draw is re-verified from scratch below
         for pts in pts_lists:
-            c = sum(1 for p in pts if S.mask[p])
+            c = sum(map(buf.__getitem__, pts))
             for _ in range(q + 1):  # empty integer windows stop here
-                if _within_window(c, alpha, q, q):
+                if inwin[c]:
                     break
-                target = float(alpha) * q
                 if c < target:
-                    off = [p for p in pts if not S.mask[p]]
+                    off = [p for p in pts if not buf[p]]
                     if not off:
                         break
-                    S.add(rng.choice(off))
+                    buf[rng.choice(off)] = 1
                     c += 1
                 else:
-                    on = [p for p in pts if S.mask[p]]
+                    on = [p for p in pts if buf[p]]
                     if not on:
                         break
-                    S.discard(rng.choice(on))
+                    buf[rng.choice(on)] = 0
                     c -= 1
+        S = PointSet.from_mask(q, K.n, np.frombuffer(buf, dtype=bool))
         if not _within_window(len(S), alpha, len(kpts), q):
             continue
-        counts = {}
-        ok = True
-        for ln, c in zip(lines, S.mask[line_pts].sum(axis=1).tolist()):
-            counts[ln] = c
-            if not _within_window(c, alpha, q, q):
-                ok = False
-                break
-        if ok:
-            return SubsetSample(S, counts, len(S), attempt)
+        counts = S.mask[line_pts].sum(axis=1).tolist()
+        if all(_within_window(c, alpha, q, q) for c in counts):
+            return SubsetSample(S, dict(zip(lines, counts)), len(S), attempt)
     raise RetryExhausted(
         f"no acceptable subset in {retry_cap} draws (alpha={alpha}, q={q})"
     )

@@ -169,6 +169,14 @@ def run_optimized(argv):
     return python_optimized("-m", "fqgeom.cli", *argv)
 
 
+def test_hermitian_build_too_large_exits_2():
+    # PG(3, 961) would need about 28 GB: refused with exit 2 at once.  Run
+    # in a subprocess, so the GF(961) tables built first stay out of this one
+    proc = run_optimized(["hermitian", "build", "--p", "31", "--n", "3"])
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"over the limit" in proc.stderr
+
+
 def test_suite_stdout_matches_committed_output(capsys):
     # the output of `fqgeom suite --max-q 5 --seed 1` is pinned byte for
     # byte, in process and under `python -O`, which strips every assert

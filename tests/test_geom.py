@@ -4,6 +4,7 @@ import pytest
 from fqgeom.geom import (
     LineFamily,
     PointSet,
+    PROJ_POINT_LIMIT,
     UnsupportedField,
     affine_space,
     conic_dual_lines,
@@ -189,6 +190,16 @@ def test_proj_space_rejects_untabled_field():
     # and its coordinate grid 1031^3
     with pytest.raises(UnsupportedField):
         proj_space(1031, 2)
+
+
+def test_proj_space_rejects_too_many_points():
+    # PG(3, 961) has 8.9 * 10^8 points: refused before its array is built,
+    # while PG(3, 169), the Hermitian commands' p = 13, stays in bounds
+    with pytest.raises(UnsupportedField, match="over the limit"):
+        proj_space(961, 3)
+    assert (169 ** 4 - 1) // 168 <= PROJ_POINT_LIMIT < (289 ** 4 - 1) // 288
+    with pytest.raises(UnsupportedField):
+        proj_space(1, 2)
 
 
 def test_pg34_sizes():

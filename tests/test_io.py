@@ -47,6 +47,60 @@ def test_extension_field_tokens(tmp_path):
     assert text[2] == "1-1 1-1 1-1"
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_random_roundtrips(q, tmp_path):
+    import random
+
+    rng = random.Random(q)
+    sp = affine_space(q, 3)
+    for size in (0, 1, rng.randrange(q ** 3), q ** 3):
+        s = PointSet(q, 3, indices=rng.sample(range(q ** 3), size))
+        save_pointset(s, str(tmp_path / "s.pts"))
+        assert load_pointset(str(tmp_path / "s.pts")) == s
+    lines = sp.all_lines()
+    for size in (0, 1, rng.randrange(len(lines))):
+        fam = LineFamily(sp, rng.sample(lines, size))
+        save_linefamily(fam, str(tmp_path / "f.lines"))
+        assert load_linefamily(str(tmp_path / "f.lines")).lines() == fam.lines()
+
+
+# tokens the writer never makes: each is read as the element code given, or
+# refused (None) with a FormatError, also where int() cannot read a digit;
+# point and line files agree
+ODD_TOKENS = [
+    (5, "01", 1), (5, "+1", 1), (5, "1-0", None), (7, "006", 6), (7, "7", None),
+    (3, "3", None), (3, "-1", None), (3, "x", None),
+    (9, "1-0", 3), (9, "01-2", 5), (9, "2-", None), (9, "-1", None),
+    (9, "1", None), (9, "1-0-0", None), (9, "3-0", None),
+]
+
+
+@pytest.mark.parametrize("q,tok,code", ODD_TOKENS)
+def test_odd_tokens(q, tok, code, tmp_path):
+    zero, one = ("0", "1") if q in (3, 5, 7) else ("0-0", "0-1")
+    pts, lns = tmp_path / "s.pts", tmp_path / "f.lines"
+    pts.write_text(f"{q} 3 points\n{tok} {zero} {tok}\n")
+    lns.write_text(f"{q} 3 lines\n{one} {zero} {zero} {zero} {tok} {zero}\n")
+    if code is None:
+        with pytest.raises(FormatError, match="bad element token"):
+            load_pointset(str(pts))
+        with pytest.raises(FormatError, match="bad element token"):
+            load_linefamily(str(lns))
+        return
+    assert load_pointset(str(pts)).indices().tolist() == [code + code * q * q]
+    sp = affine_space(q, 3)
+    d = int(sp.proj.ids([1, 0, 0]))
+    assert load_linefamily(str(lns)).lines() == [sp.canonical_line(d, code * q)]
+
+
+def test_empty_files_load_empty(tmp_path):
+    path = tmp_path / "e.pts"
+    path.write_text("5 3 points\n")
+    assert load_pointset(str(path)) == PointSet(5, 3)
+    path.write_text("4 3 lines\n\n")
+    assert len(load_linefamily(str(path))) == 0
+
+
 def test_poly_roundtrip(tmp_path):
     basis = MonomialBasis(3, 3, 2)
     g = MultiPoly.from_dict(basis, {(1, 1, 0): 2, (0, 0, 0): 1})

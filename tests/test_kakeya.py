@@ -24,6 +24,7 @@ from fqgeom.kakeya import (
     sample_fractional_subset,
     verify_kakeya,
 )
+from fqgeom.kakeya import _within_window
 
 
 def test_full_space_is_kakeya():
@@ -138,6 +139,28 @@ def test_sampler_recount_and_window():
     assert (s.size, s.attempts) == (75, 1)
     indices = str(s.subset.indices().tolist()).encode()
     assert hashlib.sha256(indices).hexdigest()[:16] == "894e5842869ae119"
+
+
+def test_integer_window_matches_fraction_definition():
+    # the sampler decides |c - alpha*s| < alpha*s*q^(-1/3) on integers; the
+    # definition, cubed in exact rationals, must agree at every count c
+    alphas = [Fraction(j, 20) for j in range(1, 21)] + [Fraction(1, 9), Fraction(4, 5)]
+    for q in (3, 5, 7, 9, 11, 13, 27, 31):
+        for alpha in alphas:
+            for s in (q, qr_set_size(q)):
+                target = alpha * s
+                bound = target ** 3 / q
+                inside = [abs(c - target) ** 3 < bound for c in range(s + 1)]
+                got = [_within_window(c, alpha, s, q) for c in range(s + 1)]
+                assert got == inside, (q, alpha, s)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3, 2)])
+def test_sampler_rejects_alpha_outside_unit_interval(alpha):
+    # an explicit ValueError, which `python -O` keeps
+    K = build_quadratic_residue_set(5)
+    with pytest.raises(ValueError, match="alpha"):
+        sample_fractional_subset(K, verify_kakeya(K), alpha, seed=0)
 
 
 def test_sampler_alpha_one_trivial():
