@@ -1,7 +1,9 @@
+import json
 import random
 import re
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +253,19 @@ def test_degree_cap_violation_detected():
     with pytest.raises(DegreeCapViolated):
         is_identically_zero_on_space(g2)
     g.basis.exponents.pop()
+
+
+# seeded instances at q in {5, 7, 8, 9}, m in {1, 2}, (m1, m2) in {1, 2}^2 and
+# S1 row shares 1/4, 1/2 and 3/4, with the coefficient vectors the full-matrix
+# kernel solve returned for them
+INTERPOLANTS = json.loads(
+    (Path(__file__).parent / "data" / "interpolants_seeded.json").read_text())
+
+
+@pytest.mark.parametrize("inst", INTERPOLANTS,
+                         ids=lambda t: "q{q}-m{m}-{m1}{m2}-{n}".format(n=len(t["S1"]), **t))
+def test_interpolants_match_committed_vectors(inst):
+    g = interpolate_vanishing([tuple(p) for p in inst["S1"]], inst["m1"],
+                              [tuple(p) for p in inst["S2"]], inst["m2"],
+                              inst["m"], q=inst["q"])
+    assert g.coeffs.tolist() == inst["coeffs"]
