@@ -22,9 +22,10 @@ import numpy as np
 from .gf import TABLE_LIMIT, FieldCtx, field_of_order, NonPrime
 
 
-# the most points a ProjSpace holds: its (N, n+1) int64 array then takes at
-# most 512 MB at n = 3 (PG(3,169), p = 13 in the Hermitian commands, has
-# 4.9 million points)
+# the most points a ProjSpace or an AffineSpace holds: a ProjSpace's (N, n+1)
+# int64 array then takes at most 512 MB at n = 3 (PG(3,169), p = 13 in the
+# Hermitian commands, has 4.9 million points), and an affine label grid at
+# most 128 MB (AG(3,q) for q <= 256)
 PROJ_POINT_LIMIT = 1 << 24
 
 
@@ -46,6 +47,9 @@ class AffineSpace:
     def __init__(self, q: int, n: int):
         if n not in (2, 3):
             raise UnsupportedField(f"n = {n} unsupported (need 2 or 3)")
+        if q ** n > PROJ_POINT_LIMIT:
+            raise UnsupportedField(
+                f"AG({n},{q}) has {q ** n} points, over the limit {PROJ_POINT_LIMIT}")
         # the directions are the points of PG(n-1, q)
         self.proj = proj_space(q, n - 1)
         self.ctx: FieldCtx = self.proj.ctx
@@ -153,7 +157,8 @@ class AffineSpace:
         return self._perp[dir_id]
 
     def all_planes(self):
-        assert self.n == 3
+        if self.n != 3:
+            raise UnsupportedField(f"planes need n = 3, not {self.n}")
         return [(m, c) for m in range(self.ndirs) for c in range(self.q)]
 
     def plane_points(self, plane):
@@ -163,7 +168,8 @@ class AffineSpace:
 
     def planes_through_line(self, line):
         """The q+1 planes of AG(3,q) containing an affine line."""
-        assert self.n == 3
+        if self.n != 3:
+            raise UnsupportedField(f"planes need n = 3, not {self.n}")
         dir_id, base = line
         m = self.perp_dir_ids(dir_id)
         c = self.ctx.dot(self.proj.array[m], self.coords(base))
@@ -171,7 +177,8 @@ class AffineSpace:
 
     def lines_in_plane(self, plane):
         """The q(q+1) lines contained in a plane, canonical order."""
-        assert self.n == 3
+        if self.n != 3:
+            raise UnsupportedField(f"planes need n = 3, not {self.n}")
         on_plane = np.array(self.plane_points(plane))
         out = []
         for d in self.perp_dir_ids(plane[0]).tolist():

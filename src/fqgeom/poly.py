@@ -198,7 +198,9 @@ class MultiPoly:
         self.basis = basis
         self.ctx = ctx if ctx is not None else field_of_order(basis.q)
         self.coeffs = np.asarray(coeffs, dtype=np.int64)
-        assert len(self.coeffs) == len(basis)
+        if len(self.coeffs) != len(basis):
+            raise ValueError(
+                f"{len(self.coeffs)} coefficients for {len(basis)} basis monomials")
 
     @classmethod
     def from_dict(cls, basis: MonomialBasis, terms: dict, ctx=None):
@@ -391,17 +393,19 @@ def is_identically_zero_on_space(g: MultiPoly) -> bool:
 # interpolation under multiplicity constraints
 # ---------------------------------------------------------------------------
 
-def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None):
+def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
+                           ncols=None):
     """Rows of the homogeneous system: one row per (point, beta) with
     |beta| < mult; entry for basis monomial alpha is
     prod binom(alpha_i, beta_i) * a^(alpha-beta), the coefficient of
     x^beta in the shift of x^alpha by a.  Any GF(q): the binomials mod p
-    are prime-subfield codes, and powers come from the field's pow table."""
+    are prime-subfield codes, and powers come from the field's pow table.
+    Only the columns of the first ncols monomials are built (default all)."""
     ctx = ctx if ctx is not None else field_of_order(basis.q)
     p = ctx.p
     q = basis.q
     n = basis.n
-    E = np.array(basis.exponents, dtype=np.int64)  # N x n
+    E = np.array(basis.exponents[:ncols], dtype=np.int64)  # ncols x n
     # binom(i, j) = 0 for j > i, which zeroes the monomials with alpha_i < beta_i
     binom_tab = np.array(
         [[comb(i, j) % p for j in range(q)] for i in range(q)], dtype=np.int64
@@ -426,7 +430,7 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None):
                 row = ctx.vmul(row, factor(i, coords[i], beta[i]))
             rows.append(row)
     if not rows:
-        return np.zeros((0, len(basis)), dtype=np.int64)
+        return np.zeros((0, len(E)), dtype=np.int64)
     return np.vstack(rows)
 
 
@@ -439,7 +443,13 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
     |S1|*binom(m1+n-1,n) + |S2|*binom(m2+n-1,n) < #basis fails; the
     returned polynomial is the first kernel basis vector of the
     constraint matrix, re-verified by multiplicities at every constrained
-    point."""
+    point.
+
+    Only the first r+1 columns of the r-row matrix are built and
+    eliminated.  The RREF of a column prefix is the prefix of the RREF, and
+    rank <= r < r+1, so the first free column lies in the prefix; the first
+    kernel vector is zero past that column, and the prefix's first kernel
+    vector padded with zeros is the full matrix's, entry for entry."""
     from .geom import PointSet, affine_space
 
     def unpack(S):
@@ -464,10 +474,10 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
         )
     ctx = field_of_order(q)
     constraints = [(c, m1) for c in pts1] + [(c, m2) for c in pts2]
-    # fewer rows than columns, so the kernel is not zero; the copy lets
-    # the rest of the kernel basis be freed
-    kernel = nullspace(constraint_rows_matrix(basis, constraints, ctx), ctx)
-    g = MultiPoly(basis, kernel[0].copy(), ctx)
+    w = nconstraints + 1
+    coeffs = np.zeros(len(basis), dtype=np.int64)
+    coeffs[:w] = nullspace(constraint_rows_matrix(basis, constraints, ctx, w), ctx)[0]
+    g = MultiPoly(basis, coeffs, ctx)
     # re-check every constrained point through the full shift g(x+a), a
     # route that does not read the constraint matrix
     got = multiplicities(g, [coords for coords, _ in constraints])

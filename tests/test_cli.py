@@ -177,6 +177,17 @@ def test_hermitian_build_too_large_exits_2():
     assert b"over the limit" in proc.stderr
 
 
+def test_kakeya_verify_too_large_space_exits_2(tmp_path):
+    # AG(3, 1021) has 1.06 * 10^9 points, and verifying a set in it would
+    # build a label grid of about 8.5 GB: refused with exit 2 as the file is
+    # read.  Run in a subprocess, like the Hermitian case above
+    pts = tmp_path / "big.pts"
+    pts.write_text("1021 3 points\n0 0 0\n")
+    proc = run_optimized(["kakeya", "verify", "--in", str(pts)])
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"over the limit" in proc.stderr
+
+
 def test_suite_stdout_matches_committed_output(capsys):
     # the output of `fqgeom suite --max-q 5 --seed 1` is pinned byte for
     # byte, in process and under `python -O`, which strips every assert

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fqgeom import geom
 from fqgeom.geom import (
     LineFamily,
     PointSet,
@@ -200,6 +201,28 @@ def test_proj_space_rejects_too_many_points():
     assert (169 ** 4 - 1) // 168 <= PROJ_POINT_LIMIT < (289 ** 4 - 1) // 288
     with pytest.raises(UnsupportedField):
         proj_space(1, 2)
+
+
+def test_affine_space_rejects_too_many_points(monkeypatch):
+    # AG(3, 1021) has 1.06 * 10^9 points: refused before PG(2, 1021) or any
+    # field table is built
+    def unbuilt(q, n):
+        raise AssertionError("proj_space called")
+
+    monkeypatch.setattr(geom, "proj_space", unbuilt)
+    for q in (257, 1021):
+        with pytest.raises(UnsupportedField, match="over the limit"):
+            affine_space(q, 3)
+    assert 256 ** 3 <= PROJ_POINT_LIMIT < 257 ** 3
+
+
+def test_plane_methods_need_three_dimensions():
+    sp = affine_space(5, 2)
+    line = sp.all_lines()[0]
+    for call in (sp.all_planes, lambda: sp.planes_through_line(line),
+                 lambda: sp.lines_in_plane((0, 0))):
+        with pytest.raises(UnsupportedField, match="n = 3"):
+            call()
 
 
 def test_pg34_sizes():

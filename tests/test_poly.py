@@ -2,7 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from fqgeom import poly
 from fqgeom.gf import field_of_order
+from fqgeom.linalg import nullspace
 from fqgeom.poly import (
     DegreeCap,
     DegreeCapViolated,
@@ -245,6 +246,13 @@ def test_interpolate_errors():
         interpolate_vanishing([(0, 0, 0)], 1, [], 1, 2)
 
 
+def test_multipoly_refuses_wrong_length():
+    basis = MonomialBasis(3, 3, 2)
+    for n in (len(basis) - 1, len(basis) + 1, 0):
+        with pytest.raises(ValueError, match="coefficients for 26 basis monomials"):
+            MultiPoly(basis, [1] * n)
+
+
 def test_degree_cap_violation_detected():
     basis = MonomialBasis(2, 3, 3)
     g = MultiPoly.from_dict(basis, {(2, 2): 1})
@@ -269,3 +277,32 @@ def test_interpolants_match_committed_vectors(inst):
                               [tuple(p) for p in inst["S2"]], inst["m2"],
                               inst["m"], q=inst["q"])
     assert g.coeffs.tolist() == inst["coeffs"]
+
+
+def test_interpolant_is_first_kernel_vector_of_full_matrix():
+    """interpolate_vanishing eliminates only the first rows+1 columns; its
+    result is still the first kernel basis vector of the whole constraint
+    matrix, also when the rows are dependent."""
+    shapes = [(m, m1, m2, share) for m in (1, 2)
+              for m1, m2, share in ((1, 1, Fraction(1, 4)), (2, 1, Fraction(1, 2)),
+                                    (1, 2, Fraction(1, 4)))]
+    deficient = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_of_order(q)
+        rng = random.Random(q)
+        pool = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+        for m, m1, m2, share in shapes:
+            budget = count_capped_monomials(3, q, m) - 1
+            w1, w2 = comb(m1 + 2, 3), comb(m2 + 2, 3)
+            n1 = max(1, int(share * budget) // w1)
+            n2 = min((budget - n1 * w1) // w2, 3)
+            pts = rng.sample(pool, n1 + n2)
+            g = interpolate_vanishing(pts[:n1], m1, pts[n1:], m2, m, q=q)
+            constraints = [(c, m1) for c in pts[:n1]] + [(c, m2) for c in pts[n1:]]
+            full = poly.constraint_rows_matrix(g.basis, constraints, ctx)
+            kernel = nullspace(full, ctx)
+            assert g.coeffs.tolist() == kernel[0].tolist(), (q, m, m1, m2)
+            if full.shape[1] - len(kernel) < full.shape[0]:
+                deficient.append((q, m, m1, m2))
+    # the rank-deficient case is exercised
+    assert deficient
