@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import TABLE_LIMIT, FieldCtx, field_of_order, NonPrime
+from .gf import DegreeTooLarge, FieldCtx, NonPrime, field_of_order
 
 
 # the most points a ProjSpace or an AffineSpace holds: a ProjSpace's (N, n+1)
@@ -323,10 +323,8 @@ class ProjSpace:
                 f"PG({n},{q}) has {npoints} points, over the limit {PROJ_POINT_LIMIT}")
         try:
             self.ctx = field_of_order(q)
-        except NonPrime as e:
+        except (NonPrime, DegreeTooLarge) as e:
             raise UnsupportedField(str(e))
-        if q > TABLE_LIMIT:
-            raise UnsupportedField(f"q = {q} exceeds the field-table limit {TABLE_LIMIT}")
         self.q = q
         self.n = n
         # a vector packs base q to v @ weights, weights[j] = q^(n-j); the

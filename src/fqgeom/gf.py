@@ -6,11 +6,12 @@ constant coefficient), so the prime subfield's element c has code c.  All
 operations go through a FieldCtx, which is immutable after construction
 and safe to share.
 
-A FieldCtx of order at most TABLE_LIMIT also holds the array kernel: numpy
-lookup tables over element codes, in the manner of the galois library's
-lookup-table fields, that geometry, elimination and interpolation index
-with whole arrays.  They are built once, from the scalar reference
-arithmetic ``_add_raw``/``_mul_raw``.
+Every FieldCtx has order at most TABLE_LIMIT and holds the array kernel:
+numpy lookup tables over element codes, in the manner of the galois
+library's lookup-table fields, that geometry, elimination and
+interpolation index with whole arrays.  Each scalar method reads one
+entry of them.  They are built once, from the reference arithmetic
+``_add_raw``/``_mul_raw``.
 """
 from __future__ import annotations
 
@@ -36,8 +37,7 @@ class WrongDegree(ValueError):
     pass
 
 
-MAX_ORDER = 1 << 20
-# largest order with array tables; the add, mul and pow tables are q x q
+# largest field order; the add, mul and pow tables are q x q
 TABLE_LIMIT = 1 << 10
 
 
@@ -115,13 +115,12 @@ class FieldCtx:
     """Arithmetic context for GF(p^k); element codes are ints in [0, q)."""
 
     def __init__(self, p: int, k: int):
+        # the order first: trial division of a large p would take minutes
+        q = p ** k
+        if not 2 <= q <= TABLE_LIMIT:
+            raise DegreeTooLarge(f"field order {p}^{k} outside 2..{TABLE_LIMIT}")
         if not is_prime(p):
             raise NonPrime(f"p = {p} is not prime")
-        if not 1 <= k <= 4:
-            raise DegreeTooLarge(f"extension degree {k} outside 1..4")
-        q = p ** k
-        if q > MAX_ORDER:
-            raise DegreeTooLarge(f"field order {q} exceeds {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -135,13 +134,7 @@ class FieldCtx:
                     break
             if self.modulus is None:  # pragma: no cover - cannot happen
                 raise NoIrreducibleFound(f"no irreducible of degree {k} over GF({p})")
-        self.add_table = self.mul_table = self.pow_table = None
-        self.neg_table = self.inv_table = None
-        # plain-int mirrors of the tables for the scalar methods: a list
-        # lookup costs a fraction of a numpy element lookup
-        self._add = self._mul = self._neg = self._inv = None
-        if q <= TABLE_LIMIT:
-            self._build_arrays()
+        self._build_arrays()
 
     # -- encoding --
 
@@ -165,11 +158,7 @@ class FieldCtx:
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self._add is not None:
-            return self._add[a * self.q + b]
-        return self._add_raw(a, b)
+        return int(self.add_table[a, b])
 
     def _add_raw(self, a, b):
         """Digit-wise sum; also elementwise on numpy arrays of codes."""
@@ -182,56 +171,27 @@ class FieldCtx:
         return out
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self._neg is not None:
-            return self._neg[a]
-        out = 0
-        mul = 1
-        for _ in range(self.k):
-            out += ((-a) % self.p) * mul
-            a //= self.p
-            mul *= self.p
-        return out
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        if self._mul is not None:
-            return self._mul[a * self.q + b]
-        return self._mul_raw(a, b)
+        return int(self.mul_table[a, b])
 
     def _mul_raw(self, a, b):
         prod = _poly_mul(list(self.decode(a)), list(self.decode(b)), self.p)
         return self.encode(_poly_mod(prod, list(self.modulus), self.p))
 
-    def _pow_raw(self, a, e):
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
-        e %= self.q - 1
-        if self.k == 1:
-            return pow(a, e, self.p)
-        return self._pow_raw(a, e)
+        return int(self.pow_table[a, e % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return int(self.inv_table[a])
 
     def conj(self, a: int) -> int:
         """Frobenius conjugate a -> a^p (square-order fields only)."""
@@ -293,11 +253,6 @@ class FieldCtx:
         self.add_table, self.mul_table, self.pow_table = add, mul, pw
         self.neg_table = np.argmax(add == 0, axis=1)
         self.inv_table = inv
-        self._inv = inv.tolist()
-        if self.k > 1:
-            self._add = add.ravel().tolist()
-            self._mul = mul.ravel().tolist()
-            self._neg = self.neg_table.tolist()
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k})"

@@ -78,11 +78,6 @@ class SpectrumReport:
     numeric_sigma1: float | None = None
     numeric_sigma2: float | None = None
 
-    @property
-    def lam_squared(self) -> Fraction:
-        q = self.q
-        return Fraction(q + 1, q * q + q + 1)
-
 
 _NUMERIC_Q_LIMIT = 9
 

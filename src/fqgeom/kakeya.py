@@ -152,7 +152,8 @@ def integer_multiplicity_bound(q: int, n: int = 3, m: int = 2) -> int:
     """Lower bound ceil(N_q(n,m) / binom(m+n-1, n)) on any Kakeya set."""
     from .poly import count_capped_monomials
 
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f"multiplicity m = {m} must be at least 1")
     N = count_capped_monomials(n, q, Fraction(m))
     b = comb(m + n - 1, n)
     return -(-N // b)
@@ -385,7 +386,8 @@ def fractional_pipeline(q: int, u: int, alpha, seed: int,
     )
 
     check = verify_kakeya(K)
-    assert isinstance(check, KakeyaWitness), "construction failed verification"
+    if not isinstance(check, KakeyaWitness):
+        raise AssertionError(f"{construction} construction failed verification at q = {q}")
 
     if alpha == 0:
         S = PointSet(q, 3)
@@ -451,7 +453,8 @@ def fractional_pipeline(q: int, u: int, alpha, seed: int,
     # every restriction identically zero -> g0 vanishes on all directions,
     # contradicting nonvanishing of a nonzero polynomial with individual
     # degrees < q; is_identically_zero_on_space raises on that inconsistency.
-    assert all(v == 0 for v in g0_values.values())
+    if any(v != 0 for v in g0_values.values()):
+        raise AssertionError("g0 is nonzero on a direction whose restriction vanishes")
     report.stage = "g0-vanishes-on-all-directions"
     is_identically_zero_on_space(g0)  # raises AssertionError
     return report  # pragma: no cover

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 import fqgeom
 from fqgeom.cli import main
+from fqgeom.geom import PointSet
+from fqgeom.io import save_pointset
 
 
 def run(argv, capsys):
@@ -30,6 +33,22 @@ def test_poly_count_non_prime_power_exits_2(capsys):
 
 def test_conic_family_untabled_field_exits_2(capsys):
     code, out = run(["nikodym", "conic-family", "--q", "1031"], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_poly_count_needs_no_field(capsys):
+    # counting monomials needs no arithmetic, so q above the field bound counts
+    code, out = run(["poly", "count", "--n", "3", "--q", "1031", "--m", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == 183183956
+
+
+# GF(37^2) is above the field bound; 2^61 - 1 is refused by its order at
+# once, before a trial division that would take minutes
+@pytest.mark.parametrize("p", ["37", "2305843009213693951"])
+def test_hermitian_build_untabled_field_exits_2(p, capsys):
+    code, out = run(["hermitian", "build", "--p", p, "--n", "2"], capsys)
     assert code == 2
     assert out == ""
 
@@ -59,6 +78,19 @@ def test_kakeya_verify_failure_exit_code(tmp_path, capsys):
     code, out = run(["kakeya", "verify", "--in", str(pts)], capsys)
     assert code == 1
     assert json.loads(out)["failed"] == ["kakeya-verify"]
+
+
+def test_kakeya_verify_gf32_file(tmp_path, capsys):
+    pset = PointSet.full(32)
+    for p in random.Random(32).sample(range(32 ** 3), 64):
+        pset.discard(p)
+    pts = tmp_path / "k32.pts"
+    save_pointset(pset, str(pts))
+    first = pts.read_text().splitlines()[1].split()
+    assert len(first) == 3 and all(len(t.split("-")) == 5 for t in first)
+    code, out = run(["kakeya", "verify", "--in", str(pts)], capsys)
+    assert code == 0
+    assert json.loads(out)["failed"] == []
 
 
 def test_missing_file_exits_2(capsys):
@@ -285,3 +317,28 @@ def test_pipeline_benchmark_caps_match_committed_output(capsys):
     proc = python_optimized("-c", PIPELINE_CAPS_SCRIPT)
     assert proc.returncode == 0
     assert proc.stdout == golden
+
+
+CLAIM_CHECKS_SCRIPT = """
+from fqgeom import kakeya
+kakeya.verify_kakeya = lambda K: kakeya.MissingDirections(K.q, [0])
+try:
+    kakeya.fractional_pipeline(5, 1, "1/2", 1)
+except AssertionError as e:
+    print("pipeline:", e)
+try:
+    kakeya.integer_multiplicity_bound(5, 3, 0)
+except ValueError as e:
+    print("bound:", e)
+"""
+
+
+def test_kakeya_claim_checks_survive_optimize():
+    # a construction that fails verification and a multiplicity below 1 are
+    # refused under `python -O` too, where an assert would be stripped
+    proc = python_optimized("-c", CLAIM_CHECKS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "pipeline: qr construction failed verification at q = 5",
+        "bound: multiplicity m = 0 must be at least 1",
+    ]

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fqgeom
 from fqgeom.gf import (
     DegreeTooLarge,
     NonPrime,
@@ -11,7 +16,7 @@ from fqgeom.gf import (
     make_field,
 )
 
-FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
+FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 5)]
 
 
 def test_is_prime_small():
@@ -146,8 +151,46 @@ def test_errors():
     with pytest.raises(NonPrime):
         make_field(4, 1)
     with pytest.raises(DegreeTooLarge):
-        make_field(2, 5)
+        make_field(2, 11)
+    with pytest.raises(DegreeTooLarge):
+        make_field(1031, 1)
+    with pytest.raises(DegreeTooLarge):
+        field_of_order(1031)
     with pytest.raises(WrongDegree):
         make_field(3, 1).conj(2)
     with pytest.raises(ZeroDivisionError):
         make_field(5, 1).inv(0)
+
+
+_LARGE_TABLES_CHILD = """
+import numpy as np
+from fqgeom.gf import make_field
+
+for p, k in [(3, 5), (3, 6), (2, 10)]:
+    ctx = make_field(p, k)
+    q = ctx.q
+    rows = np.random.default_rng(q).choice(q, 6, replace=False)
+    for a in rows.tolist():
+        assert ctx.add_table[a].tolist() == [ctx._add_raw(a, b) for b in range(q)]
+        assert ctx.mul_table[a].tolist() == [ctx._mul_raw(a, b) for b in range(q)]
+        assert ctx._add_raw(a, int(ctx.neg_table[a])) == 0
+        assert a == 0 or ctx._mul_raw(a, int(ctx.inv_table[a])) == 1
+        acc = 1
+        for e in range(q):
+            assert ctx.pow_table[a, e] == acc  # 0^0 = 1
+            acc = ctx._mul_raw(acc, a)
+    print(q)
+"""
+
+
+def test_largest_tables_match_scalar_reference():
+    """GF(3^5), GF(3^6) and GF(2^10) build their tables, and seeded rows of
+    them equal the reference arithmetic.  In a subprocess, so the q x q
+    tables of these fields do not raise the peak RSS of the test process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LARGE_TABLES_CHILD], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["243", "729", "1024"]

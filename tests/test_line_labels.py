@@ -124,6 +124,29 @@ def test_verifiers_match_scalar_lines(q, kind):
         assert list(got.assignment.items()) == list(assignment.items())
 
 
+def test_verifiers_at_q32():
+    """Both verifiers run over GF(2^5): AG(3,32) minus 64 seeded points is
+    Kakeya through lines inside the set, and Nikodym with exactly the
+    removed points assigned, each to a line through it."""
+    q = 32
+    pset = PointSet.full(q)
+    removed = random.Random(32).sample(range(q ** 3), 64)
+    for p in removed:
+        pset.discard(p)
+    sp = affine_space(q, 3)
+    got = verify_kakeya(pset)
+    assert isinstance(got, KakeyaWitness)
+    assert sorted(got.lines) == list(range(sp.ndirs))
+    dirs, bases = zip(*got.lines.values())
+    assert pset.mask[sp.line_points(dirs, bases)].all()
+    got = verify_nikodym(pset)
+    assert isinstance(got, NikodymWitness)
+    assert sorted(got.assignment) == sorted(removed)
+    for p, (d, base) in got.assignment.items():
+        pts = sp.line_points(d, base).tolist()
+        assert p in pts and all(pset.mask[x] for x in pts if x != p)
+
+
 @pytest.mark.parametrize("q", QS)
 def test_line_enumerations_match_scalar_lines(q):
     sp = affine_space(q, 3)
