@@ -24,8 +24,8 @@ from .gf import DegreeTooLarge, FieldCtx, NonPrime, field_of_order
 
 # the most points a ProjSpace or an AffineSpace holds: a ProjSpace's (N, n+1)
 # int64 array then takes at most 512 MB at n = 3 (PG(3,169), p = 13 in the
-# Hermitian commands, has 4.9 million points), and an affine label grid at
-# most 128 MB (AG(3,q) for q <= 256)
+# Hermitian commands, has 4.9 million points), and an affine shear table or
+# row of labels at most 128 MB (AG(3,q) for q <= 256)
 PROJ_POINT_LIMIT = 1 << 24
 
 
@@ -77,9 +77,6 @@ class AffineSpace:
             idx = idx * self.q + c
         return idx
 
-    def points(self):
-        return range(self.npoints)
-
     # -- lines --
 
     def line_points(self, dir_ids, bases) -> np.ndarray:
@@ -98,27 +95,52 @@ class AffineSpace:
             pts = pts + addt[b // q ** i % q, step] * q ** i
         return pts
 
-    def line_labels(self, dir_id: int) -> np.ndarray:
-        """Label in [0, nlabels) of the line with the given direction
-        through each point: two points share a label exactly when they lie
-        on the same line.
+    @cached_property
+    def shear(self) -> np.ndarray:
+        """shear[c, x_i*q + x_k] = x_i - x_k*c: coordinate i of the point
+        where the line through x with direction d (d_k = 1, d_i = c) meets
+        x_k = 0.  It holds q^3 codes, one per point of AG(3,q)."""
+        ctx, q = self.ctx, self.q
+        if q ** 3 > PROJ_POINT_LIMIT:  # only AG(2,q) for q > 256 gets here
+            raise UnsupportedField(f"GF({q}) shear table is over the limit {PROJ_POINT_LIMIT}")
+        negmul = ctx.mul_table[ctx.neg_table]  # negmul[x_k, c] = -x_k*c
+        return ctx.add_table[:, negmul.T].transpose(1, 0, 2).reshape(q, q * q)
 
-        With k the first nonzero coordinate of d (so d_k = 1), the line
-        through x meets the hyperplane x_k = 0 at y = x - x_k*d; the label
-        packs the other n-1 coordinates of y base q."""
-        ctx = self.ctx
-        addt, mult, neg = ctx.add_table, ctx.mul_table, ctx.neg_table
+    def point_coords(self, pts) -> np.ndarray:
+        """The (n, len(pts)) coordinates of the points with indices pts."""
+        return np.asarray(pts, dtype=np.int64) // self.q ** np.arange(self.n)[:, None] % self.q
+
+    @cached_property
+    def _grid(self) -> list:
+        """The coordinates of every point, broadcasting to the C-order grid."""
+        return np.ogrid[(slice(self.q),) * self.n][::-1]
+
+    def line_labels(self, dir_ids, coords=None) -> np.ndarray:
+        """Labels in [0, nlabels) of the points with coordinates coords (from
+        point_coords; by default every point, in index order) on the lines of
+        each direction, one row per direction: in a row, points share a label
+        exactly when they lie on one line.  With d_k = 1 the first nonzero
+        coordinate of d, the line through x meets x_k = 0 at y = x - x_k*d,
+        and the label packs the other y_i = shear[d_i, x_i*q + x_k] base q."""
         q, n = self.q, self.n
-        d = self.directions[dir_id]
-        k = d.index(1)
-        # point indices are a C-order grid whose axis n-1-i is coordinate i
-        labels = np.zeros((q,) * n, dtype=np.int64)
-        for j, i in enumerate(i for i in range(n) if i != k):
-            y = addt[:, mult[neg, d[i]]]  # y[x_i, x_k] = x_i - x_k*d_i
-            shape = [1] * n
-            shape[n - 1 - i] = shape[n - 1 - k] = q
-            labels = labels + (y.T if i < k else y).reshape(shape) * q ** j
-        return labels.ravel()
+        x = self._grid if coords is None else coords
+        ids = np.asarray(dir_ids, dtype=np.int64).reshape(-1)
+        d = self.proj.array[ids]
+        lead = (d != 0).argmax(axis=1)
+        groups = set(lead.tolist())
+        if len(groups) != 1:  # no direction, or several leading coordinates
+            out = np.empty((len(ids), np.broadcast(*x).size), dtype=np.int64)
+            for k in groups:
+                out[lead == k] = self.line_labels(ids[lead == k], coords)
+            return out
+        k = groups.pop()
+        # scale the (B, q^2) table rows, not the (B, points) result
+        ys = [(self.shear[d[:, i]] * q ** j).take(x[i] * q + x[k], axis=1)
+              for j, i in enumerate(i for i in range(n) if i != k)]
+        labels = ys[0]
+        for y in ys[1:]:  # in place, unless y broadcasts labels up to the grid
+            labels = np.add(labels, y, out=labels if labels.shape == y.shape else None)
+        return labels.reshape(len(ids), -1)
 
     def line_bases(self, labels: np.ndarray) -> np.ndarray:
         """Least point index on each line, indexed by label."""
@@ -142,7 +164,7 @@ class AffineSpace:
         return [
             (d, int(b))
             for d in range(self.ndirs)
-            for b in np.sort(self.line_bases(self.line_labels(d)))
+            for b in np.sort(self.line_bases(self.line_labels([d])[0]))
         ]
 
     # -- planes (n = 3); a plane is (normal_dir_id, offset) --
@@ -163,7 +185,7 @@ class AffineSpace:
 
     def plane_points(self, plane):
         m, c = plane
-        x = np.arange(self.npoints)[:, None] // self.q ** np.arange(self.n) % self.q
+        x = self.point_coords(np.arange(self.npoints)).T
         return np.flatnonzero(self.ctx.dot(x, self.proj.array[m]) == c).tolist()
 
     def planes_through_line(self, line):
@@ -182,7 +204,7 @@ class AffineSpace:
         on_plane = np.array(self.plane_points(plane))
         out = []
         for d in self.perp_dir_ids(plane[0]).tolist():
-            labels = self.line_labels(d)
+            labels = self.line_labels([d])[0]
             bases = self.line_bases(labels)[np.unique(labels[on_plane])]
             out.extend((d, int(b)) for b in bases)
         out.sort()

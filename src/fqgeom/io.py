@@ -52,20 +52,15 @@ def _write_rows(path: str, header: str, q: int, rows: np.ndarray):
                       for row in rows.tolist())
 
 
-def _coords(sp, indices) -> np.ndarray:
-    """Coordinate rows of point indices (coordinate 0 first)."""
-    return np.asarray(indices, dtype=np.int64)[:, None] // sp.q ** np.arange(sp.n) % sp.q
-
-
 def save_pointset(pset: PointSet, path: str):
     sp = affine_space(pset.q, pset.n)
-    _write_rows(path, f"{pset.q} {pset.n} points", sp.q, _coords(sp, pset.indices()))
+    _write_rows(path, f"{pset.q} {pset.n} points", sp.q, sp.point_coords(pset.indices()).T)
 
 
 def save_linefamily(fam: LineFamily, path: str):
     sp = fam.space
     dirs, bases = split_lines(fam.lines())
-    rows = np.concatenate([sp.proj.array[dirs], _coords(sp, bases)], axis=1)
+    rows = np.concatenate([sp.proj.array[dirs], sp.point_coords(bases).T], axis=1)
     _write_rows(path, f"{sp.q} {sp.n} lines", sp.q, rows)
 
 

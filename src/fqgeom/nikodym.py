@@ -72,7 +72,7 @@ def verify_nikodym(pset: PointSet):
     for d in range(sp.ndirs):
         if ok.all():  # later directions cannot change ok or the assignment
             break
-        labels = sp.line_labels(d)
+        labels = sp.line_labels([d])[0]
         cnt = np.bincount(labels[comp], minlength=sp.nlabels)[labels]
         good = cnt == self_comp
         bases = sp.line_bases(labels)

@@ -187,18 +187,27 @@ def test_suite_deterministic(tmp_path, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-def python_optimized(*args):
+def python_optimized(*args, **kwargs):
     """Run python in a subprocess under `python -O`, which strips every
     assert, with this fqgeom on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True,
+                          **kwargs)
 
 
-def run_optimized(argv):
+def run_optimized(argv, **kwargs):
     """Run the CLI under `python -O`."""
-    return python_optimized("-m", "fqgeom.cli", *argv)
+    return python_optimized("-m", "fqgeom.cli", *argv, **kwargs)
+
+
+def test_kakeya_build_huge_order_exits_2_at_once():
+    # q = 10^18 + 3 has no tabled field: refused before the trial division
+    # for its prime, which would run for minutes
+    proc = run_optimized(["kakeya", "build", "--q", "1000000000000000003"], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"over 1024" in proc.stderr
 
 
 def test_hermitian_build_too_large_exits_2():

@@ -216,6 +216,15 @@ def test_affine_space_rejects_too_many_points(monkeypatch):
     assert 256 ** 3 <= PROJ_POINT_LIMIT < 257 ** 3
 
 
+def test_shear_table_is_bounded():
+    # the shear table holds q^3 codes: AG(3,256) stays in bounds, while
+    # AG(2,257), whose points are few, has no table and refuses labelling
+    assert 256 ** 3 <= PROJ_POINT_LIMIT
+    sp = affine_space(257, 2)
+    with pytest.raises(UnsupportedField, match="over the limit"):
+        sp.line_labels([0])
+
+
 def test_plane_methods_need_three_dimensions():
     sp = affine_space(5, 2)
     line = sp.all_lines()[0]

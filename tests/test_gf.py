@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fqgeom
+from fqgeom import gf
 from fqgeom.gf import (
     DegreeTooLarge,
     NonPrime,
@@ -145,6 +146,18 @@ def test_field_of_order():
         field_of_order(6)
     with pytest.raises(NonPrime):
         field_of_order(12)
+
+
+def test_large_order_refused_before_prime_search(monkeypatch):
+    # 100000000000031 is prime, and trial division up to its square root
+    # takes most of a second; orders over TABLE_LIMIT never get that far
+    def unsearched(q):
+        raise AssertionError("prime_power called")
+
+    monkeypatch.setattr(gf, "prime_power", unsearched)
+    for q in (1025, 100000000000031, 1000000000000000003):
+        with pytest.raises(DegreeTooLarge):
+            field_of_order(q)
 
 
 def test_errors():

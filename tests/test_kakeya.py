@@ -1,7 +1,9 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from fqgeom.kakeya import (
     verify_kakeya,
 )
 from fqgeom.kakeya import _within_window
+from fqgeom.poly import DegreeCap, MonomialBasis, count_capped_monomials
 
 
 def test_full_space_is_kakeya():
@@ -227,3 +230,36 @@ def test_pipeline_bad_params():
         fractional_pipeline(5, 1, Fraction(3, 2), seed=0)
     with pytest.raises(ValueError):
         fractional_pipeline(5, 1, Fraction(1, 2), seed=0, construction="nope")
+
+
+def _golden_pipeline_cases():
+    """(q, u, alpha) of every committed pipeline report."""
+    cases = set()
+    for path in (Path(__file__).parent / "data").glob("pipeline_*.json"):
+        doc = json.loads(path.read_text())
+        for r in doc if isinstance(doc, list) else [row["values"] for row in doc["rows"]]:
+            cases.add((r["q"], r["u"], Fraction(r["alpha"])))
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("q,u,alpha", _golden_pipeline_cases())
+def test_closed_form_count_matches_basis_on_golden_cases(q, u, alpha):
+    cap = DegreeCap.fractional(u, alpha)
+    assert count_capped_monomials(3, q, cap) == len(MonomialBasis(3, q, cap)) > 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_empty_cap_counts_no_monomials(q):
+    """At alpha = 4/5, u = 1 the cap is <= 0 for q <= 7: the pipeline counts
+    no monomial, as the listed basis has none, and the counting inequality
+    holds for any set."""
+    alpha = Fraction(4, 5)
+    cap = DegreeCap.fractional(1, alpha)
+    assert not cap.allows_total(0, q)
+    assert len(MonomialBasis(3, q, cap)) == 0
+    assert counting_inequality_holds(q, 1, alpha, 1)
+    if q % 2:
+        rep = fractional_pipeline(q, 1, alpha, seed=1, retry_cap=50)
+        assert rep.stage == "counting-not-in-paradox-regime"
+        assert rep.detail["monomials"] == 0
+        assert rep.detail["counting_inequality_holds"] is True

@@ -1,6 +1,6 @@
-"""The streamed verifiers and line enumerations against an independent
-partition of AG(3,q) built line by line with line_points, and the
-memory bound of the streamed verifiers."""
+"""The batched line labels, the streamed verifiers and line enumerations
+against an independent partition of AG(n,q) built line by line with
+line_points, and the memory bound of the streamed verifiers."""
 import json
 import os
 import random
@@ -9,9 +9,11 @@ import sys
 import textwrap
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import fqgeom
+from fqgeom import kakeya
 from fqgeom.geom import PointSet, affine_space
 from fqgeom.kakeya import (
     KakeyaWitness,
@@ -159,8 +161,80 @@ def test_line_enumerations_match_scalar_lines(q):
         assert sp.lines_in_plane(plane) == want
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", QS)
+def test_line_labels_partition_points_into_lines(q, n):
+    """Every direction's labels of all points name exactly the lines that
+    line_points lists: label and least point determine each other."""
+    sp = affine_space(q, n)
+    labels = sp.line_labels(np.arange(sp.ndirs))
+    assert labels.shape == (sp.ndirs, sp.npoints)
+    assert labels.min() >= 0 and labels.max() < sp.nlabels
+    for d in range(sp.ndirs):
+        bases = sp.line_points(d, np.arange(sp.npoints)).min(axis=1)
+        pairs = set(zip(labels[d].tolist(), bases.tolist()))
+        assert len(pairs) == len(set(labels[d].tolist())) == len(set(bases.tolist())) == sp.nlabels
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", QS)
+def test_batched_labels_match_single_direction_labels(q, n):
+    """Labels of some points for a batch of directions, in any order and
+    across leading coordinates, are the all-point labels of each direction
+    read at those points."""
+    sp = affine_space(q, n)
+    rng = random.Random(100 * q + n)
+    single = [sp.line_labels([d])[0] for d in range(sp.ndirs)]
+    lead_starts = [(q ** j - 1) // (q - 1) for j in range(1, n)]
+    batches = [list(range(sp.ndirs)), rng.sample(range(sp.ndirs), sp.ndirs)]
+    batches += [list(range(max(0, s - 2), min(sp.ndirs, s + 2))) for s in lead_starts]
+    batches += [[rng.randrange(sp.ndirs)], []]
+    for pts in ([], sorted(rng.sample(range(sp.npoints), sp.npoints // 3)),
+                list(range(sp.npoints))):
+        coords = sp.point_coords(pts)
+        for ids in batches:
+            got = sp.line_labels(ids, coords)
+            assert got.shape == (len(ids), len(pts))
+            for row, d in zip(got, ids):
+                assert row.tolist() == single[d][pts].tolist()
+
+
+def _outcome(res):
+    if isinstance(res, MissingDirections):
+        return "missing", res.directions
+    if isinstance(res, FailingPoints):
+        return "failing", res.points
+    if isinstance(res, KakeyaWitness):
+        return "kakeya", list(res.lines.items())
+    return "nikodym", list(res.assignment.items())
+
+
+SWEEP_CASES = [(q, kind) for q in (3, 4, 5, 7, 8, 9)
+               for kind in ("residue", "thin", "empty", "full", "full-minus",
+                            "dense-random", "sparse-random")
+               if q % 2 or kind not in ("residue", "thin")]
+
+
+@pytest.mark.parametrize("q,kind", SWEEP_CASES)
+def test_verifiers_ignore_the_cell_bound(q, kind, monkeypatch):
+    """One direction per batch, the default bound and a single batch of all
+    directions give the same outputs, with missing directions ascending."""
+    pset = PointSet(q) if kind == "empty" else (
+        PointSet.full(q) if kind == "full" else _pointset(q, kind))
+    outcomes = []
+    for cells in (1, kakeya.KAKEYA_CELLS, 1 << 30):
+        monkeypatch.setattr(kakeya, "KAKEYA_CELLS", cells)
+        outcomes.append((_outcome(verify_kakeya(pset)), _outcome(verify_nikodym(pset))))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    (kind_k, found), _ = outcomes[0]
+    keys = found if kind_k == "missing" else [d for d, _ in found]
+    assert keys == sorted(keys)
+    if kind == "empty":
+        assert outcomes[0][0] == ("missing", list(range(q * q + q + 1)))
+
+
 _CHILD = textwrap.dedent("""
-    import json, random, resource
+    import json, random
     from fqgeom.geom import PointSet
     from fqgeom.kakeya import build_quadratic_residue_set, verify_kakeya
     from fqgeom.nikodym import verify_nikodym
@@ -176,7 +250,11 @@ _CHILD = textwrap.dedent("""
     out["kakeya-25"] = type(verify_kakeya(full)).__name__
     nik = verify_nikodym(full)
     out["nikodym-25"] = sorted(nik.assignment) == sorted(removed)
-    out["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # VmHWM is this process's own peak, which ru_maxrss is not: it carries
+    # the peak of the process that forked it across exec
+    with open("/proc/self/status") as fh:
+        out["maxrss_kb"] = next(int(line.split()[1]) for line in fh
+                                if line.startswith("VmHWM:"))
     print(json.dumps(out))
 """)
 
