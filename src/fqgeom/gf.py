@@ -16,7 +16,6 @@ entry of them.  They are built once, from the reference arithmetic
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -41,18 +40,29 @@ class WrongDegree(ValueError):
 TABLE_LIMIT = 1 << 10
 
 
+# the prime bases up to 41 make Miller-Rabin exact below this bound
+# (Sorenson and Webster, 2015)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; DegreeTooLarge from MILLER_RABIN_LIMIT on."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise DegreeTooLarge(f"primality of {n} is undecided over {MILLER_RABIN_LIMIT}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases:
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # x runs through a^d, a^(2d), ..., a^(2^(s-1) d)
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -265,13 +275,18 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
 
 
 def prime_power(q: int) -> tuple:
-    """(p, k) with q = p^k; NonPrime when q is not a prime power."""
-    # the least divisor above 1 is prime; with none up to sqrt(q), q is prime
-    p = next((d for d in range(2, isqrt(max(q, 0)) + 1) if q % d == 0), q)
-    k = 1
-    while p ** k < q:
-        k += 1
-    if q < 2 or p ** k != q:
+    """(p, k) with q = p^k; NonPrime when q is not a prime power.  p is the
+    k-th root of q for the largest k that has one, tested by is_prime."""
+    if q < 2:
+        raise NonPrime(f"{q} is not a prime power")
+    for k in range(q.bit_length(), 0, -1):
+        # Newton's steps for the integer k-th root, from above it
+        p = 1 << -(-q.bit_length() // k)
+        while (r := ((k - 1) * p + q // p ** (k - 1)) // k) < p:
+            p = r
+        if p ** k == q:
+            break
+    if not is_prime(p):
         raise NonPrime(f"{q} is not a prime power")
     return p, k
 

@@ -70,23 +70,36 @@ KAKEYA_CELLS = 1 << 14
 def verify_kakeya(pset: PointSet):
     """Exhaustive check: for each of the q^2+q+1 directions, find a line
     fully contained in the set.  Returns a KakeyaWitness on success, else
-    MissingDirections listing every uncovered direction.  Only the set's
-    points are labelled, for a batch of directions per array call."""
+    MissingDirections listing every uncovered direction.  Only the smaller
+    side is labelled, for a batch of directions per array call: a line is
+    contained when it holds q of the set's points, or none of the
+    complement's."""
     sp = affine_space(pset.q, pset.n)
     pts = pset.indices()
-    coords = sp.point_coords(pts)  # shared by every batch
-    step = max(1, KAKEYA_CELLS // max(len(pts), sp.nlabels))
+    if 2 * len(pts) > pset.mask.size:  # the complement is the smaller side
+        comp = np.flatnonzero(~pset.mask)
+        # the hit lines hold at most len(comp)*(q-1) set points, so the first
+        # set point on a contained line is among the first len(comp)*(q-1)+1
+        pts = pts[: len(comp) * (pset.q - 1) + 1]
+        counted, full = slice(len(comp)), 0
+        coords = sp.point_coords(np.concatenate([comp, pts]))
+    else:
+        counted, full = slice(None), pset.q
+        coords = sp.point_coords(pts)
+    heads = slice(coords.shape[1] - len(pts), None)
+    step = max(1, KAKEYA_CELLS // max(coords.shape[1], sp.nlabels))
     witness, missing = {}, []
     for start in range(0, sp.ndirs, step):
         ids = np.arange(start, min(start + step, sp.ndirs))
         keys = sp.line_labels(ids, coords)
         keys += np.arange(len(ids))[:, None] * sp.nlabels
-        contained = np.bincount(keys.ravel(), minlength=len(ids) * sp.nlabels) == pset.q
+        counts = np.bincount(keys[:, counted].ravel(), minlength=len(ids) * sp.nlabels)
+        contained = counts == full
         found = contained.reshape(len(ids), -1).any(axis=1)
         missing += ids[~found].tolist()
         if found.any():
             # the first set point on a contained line is its least point
-            first = pts[np.argmax(contained[keys], axis=1)][found]
+            first = pts[np.argmax(contained[keys[:, heads]], axis=1)][found]
             witness.update((d, (d, b)) for d, b in zip(ids[found].tolist(), first.tolist()))
     if missing:
         return MissingDirections(pset.q, missing)
@@ -109,19 +122,13 @@ def build_quadratic_residue_set(q: int) -> PointSet:
     ctx = field_of_order(q)
     if q % 2 == 0:
         raise EvenFieldUnsupported("quadratic residues need odd q")
-    sp = affine_space(q, 3)
-    squares = {ctx.mul(y, y) for y in ctx.elements()}  # includes 0
-    K = PointSet(q, 3)
-    for t in range(q):
-        t2 = ctx.mul(t, t)
-        good = [x for x in range(q) if ctx.add(x, t2) in squares]
-        for x1 in good:
-            for x2 in good:
-                K.add(sp.index((x1, x2, t)))
-    for x1 in range(q):
-        for x2 in range(q):
-            K.add(sp.index((x1, x2, 0)))
-    return K
+    square = np.zeros(q, dtype=bool)
+    square[ctx.mul_table.diagonal()] = True  # includes 0
+    # good[t, x]: x + t^2 is a square; point (x1, x2, t) has index x1 + q*x2 + q^2*t
+    good = square[ctx.add_table[ctx.mul_table.diagonal()[:, None], np.arange(q)]]
+    mask = good[:, :, None] & good[:, None, :]
+    mask[0] = True  # the plane t = 0
+    return PointSet.from_mask(q, 3, mask.ravel())
 
 
 def qr_set_size(q: int) -> int:
@@ -270,54 +277,69 @@ def _within_window(count: int, alpha: Fraction, scale: int, q: int) -> bool:
     return abs(b * count - a * scale) ** 3 * q < (a * scale) ** 3
 
 
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """[rng.random() for _ in range(n)], leaving rng in the same state, from
+    one getrandbits call: random() turns two 32-bit outputs w0, w1 into
+    ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53, and getrandbits(64n) packs its
+    2n outputs in order, the first as the least significant word."""
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    w = w.astype(np.int64)
+    return ((w[0::2] >> 5) * (1 << 26) + (w[1::2] >> 6)) / float(1 << 53)
+
+
 def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
                              seed: int, retry_cap: int = 1000) -> SubsetSample:
     """Random S subset of K with | |S| - alpha|K| | < d*alpha|K| and, for
     each witness line, | |L∩S| - alpha*q | < d*alpha*q, d = q^(-1/3).
-    Retries up to retry_cap seeded draws, then raises RetryExhausted."""
+    Retries up to retry_cap seeded draws, then raises RetryExhausted.
+
+    A draw keeps each point of K, in index order, when its rng.random()
+    falls below alpha (no draw at alpha = 1); a repair pass then nudges the
+    out-of-window lines in witness order with rng.choice."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     q = K.q
     sp = affine_space(q, K.n)
     rng = random.Random(seed)
-    kpts = K.indices().tolist()
+    kpts = K.indices()
     lines = list(witness.lines.values())
     line_pts = sp.line_points(*split_lines(lines))  # (len(lines), q), t order
     pts_lists = line_pts.tolist()
+    through = {}  # point -> the witness lines through it
+    for i, pts in enumerate(pts_lists):
+        for p in pts:
+            through.setdefault(p, []).append(i)
     a = float(alpha)
     target = a * q  # picks the direction of a nudge; never accepts
     inwin = [_within_window(c, alpha, q, q) for c in range(q + 1)]
     for attempt in range(1, retry_cap + 1):
-        chosen = [p for p in kpts if rng.random() < a] if alpha < 1 else kpts
         mask = np.zeros(K.mask.size, dtype=bool)
-        mask[chosen] = True
+        mask[kpts[_uniforms(rng, len(kpts)) < a] if alpha < 1 else kpts] = True
+        counts = mask[line_pts].sum(axis=1).tolist()
         buf = bytearray(mask.tobytes())
         # repair pass: nudge each out-of-window line by toggling its own
         # points (witness lines pairwise share at most one point, so the
-        # nudges barely interact); the draw is re-verified from scratch below
-        for pts in pts_lists:
-            c = sum(map(buf.__getitem__, pts))
+        # nudges barely interact); a toggle updates every line through it
+        for i, pts in enumerate(pts_lists):
+            if inwin[counts[i]]:
+                continue
             for _ in range(q + 1):  # empty integer windows stop here
-                if inwin[c]:
+                grow = counts[i] < target
+                pick = [p for p in pts if buf[p] != grow]  # the off points to grow, else the on
+                if not pick:
                     break
-                if c < target:
-                    off = [p for p in pts if not buf[p]]
-                    if not off:
-                        break
-                    buf[rng.choice(off)] = 1
-                    c += 1
-                else:
-                    on = [p for p in pts if buf[p]]
-                    if not on:
-                        break
-                    buf[rng.choice(on)] = 0
-                    c -= 1
+                p = rng.choice(pick)
+                buf[p] = grow
+                step = 1 if grow else -1
+                for j in through[p]:
+                    counts[j] += step
+                if inwin[counts[i]]:
+                    break
         S = PointSet.from_mask(q, K.n, np.frombuffer(buf, dtype=bool))
         if not _within_window(len(S), alpha, len(kpts), q):
             continue
-        counts = S.mask[line_pts].sum(axis=1).tolist()
-        if all(_within_window(c, alpha, q, q) for c in counts):
+        if all(inwin[c] for c in counts):
             return SubsetSample(S, dict(zip(lines, counts)), len(S), attempt)
     raise RetryExhausted(
         f"no acceptable subset in {retry_cap} draws (alpha={alpha}, q={q})"

@@ -75,9 +75,10 @@ def verify_nikodym(pset: PointSet):
         labels = sp.line_labels([d])[0]
         cnt = np.bincount(labels[comp], minlength=sp.nlabels)[labels]
         good = cnt == self_comp
-        bases = sp.line_bases(labels)
-        for p in np.flatnonzero(good & ~ok & comp):
-            assignment[int(p)] = (d, int(bases[labels[p]]))
+        new = np.flatnonzero(good & ~ok & comp)  # complement points assigned here
+        if len(new):
+            bases = sp.line_points(d, new).min(axis=1)  # least points of their lines
+            assignment.update(zip(new.tolist(), ((d, b) for b in bases.tolist())))
         ok |= good
     if not ok.all():
         return FailingPoints(pset.q, [int(p) for p in np.nonzero(~ok)[0]])

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,22 @@ def test_poly_count_needs_no_field(capsys):
     code, out = run(["poly", "count", "--n", "3", "--q", "1031", "--m", "1"], capsys)
     assert code == 0
     assert json.loads(out)["result"] == 183183956
+
+
+def test_poly_count_large_prime_order_is_fast(capsys):
+    # Miller-Rabin decides q = 10^18 + 3 at once, where trial division took 90 s
+    start = time.perf_counter()
+    code, out = run(["poly", "count", "--n", "3", "--q", "1000000000000000003", "--m", "1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["result"] == 166666666666666668666666666666666674500000000000000010
+
+
+def test_poly_count_undecided_order_exits_2(capsys):
+    # 2^89 - 1 is prime, but past the bound where Miller-Rabin is exact
+    code, out = run(["poly", "count", "--n", "3", "--q", str(2 ** 89 - 1), "--m", "1"], capsys)
+    assert code == 2
+    assert out == ""
 
 
 # GF(37^2) is above the field bound; 2^61 - 1 is refused by its order at

@@ -233,6 +233,67 @@ def test_verifiers_ignore_the_cell_bound(q, kind, monkeypatch):
         assert outcomes[0][0] == ("missing", list(range(q * q + q + 1)))
 
 
+def _sided_pointset(q, kind):
+    """Sets that make verify_kakeya label one side or the other: the residue
+    set (a Kakeya set of under q^3/2 points for odd q >= 5; none for the
+    other q) and seeded lines, filled at random to just below, at or just
+    above q^3/2 points;
+    AG(3,q) minus a point of every line of one direction, which misses it;
+    and AG(3,q) minus the greatest point of each of the first q lines in
+    direction (1,0,0), where the least contained line of that direction
+    starts at the last point the complement side reads."""
+    sp = affine_space(q, 3)
+    rng = random.Random(10 * q + len(kind))
+    if kind.startswith("half"):
+        size = q ** 3 // 2 + {"half-below": -1, "half": 0, "half-above": 1}[kind]
+        mask = (build_quadratic_residue_set(q).mask if q % 2 and q > 3
+                else np.zeros(q ** 3, dtype=bool))
+        for d in rng.sample(range(sp.ndirs), sp.ndirs):
+            line = sp.line_points(d, rng.randrange(q ** 3))
+            if np.count_nonzero(mask | np.isin(np.arange(q ** 3), line)) > size:
+                break
+            mask[line] = True
+        mask[rng.sample(np.flatnonzero(~mask).tolist(), size - np.count_nonzero(mask))] = True
+        return PointSet.from_mask(q, 3, mask)
+    pset = PointSet.full(q)
+    if kind == "blocked":
+        d = rng.randrange(sp.ndirs)
+        bases = np.unique(sp.line_points(d, np.arange(q ** 3)).min(axis=1))
+        pset.mask[sp.line_points(d, bases)[np.arange(q * q), rng.choices(range(q), k=q * q)]] = False
+    else:  # "hit-first"
+        pset.mask[np.arange(q) * q + q - 1] = False
+    return pset
+
+
+@pytest.mark.parametrize("kind", ["half-below", "half", "half-above", "blocked", "hit-first"])
+@pytest.mark.parametrize("q", QS)
+def test_kakeya_sides_match_reference(q, kind, monkeypatch):
+    """Counting the set's points or the complement's gives the reference
+    witnesses and missing directions, at any batch size."""
+    pset = _sided_pointset(q, kind)
+    # the complement is counted when it is the smaller side (at q = 2 the
+    # blocked set is a tie, and ties count the set)
+    comp_side = kind in ("half-above", "hit-first") or (kind == "blocked" and q > 2)
+    assert (np.count_nonzero(~pset.mask) < len(pset)) == comp_side
+    witness, missing = reference_kakeya(pset)
+    if kind == "blocked":
+        assert missing
+    if kind.startswith("half") and q % 2 and q > 3:
+        assert not missing
+    if kind == "hit-first":
+        d = int(affine_space(q, 3).proj.ids([1, 0, 0]))
+        assert witness[d] == (d, q * q)
+        assert list(pset.indices()).index(q * q) == q * (q - 1)
+    for cells in (1, kakeya.KAKEYA_CELLS, 1 << 30):
+        monkeypatch.setattr(kakeya, "KAKEYA_CELLS", cells)
+        got = verify_kakeya(pset)
+        if missing:
+            assert isinstance(got, MissingDirections) and got.directions == missing
+        else:
+            assert isinstance(got, KakeyaWitness)
+            assert list(got.lines.items()) == list(witness.items())
+
+
 _CHILD = textwrap.dedent("""
     import json, random
     from fqgeom.geom import PointSet
