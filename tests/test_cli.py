@@ -274,6 +274,14 @@ GOLDEN_OUTPUTS = {
     "harness_conic_dual_q7_seed7.jsonl":
         ["nikodym", "harness", "--generator", "conic-dual", "--q", "7",
          "--trials", "1", "--seed", "7"],
+    # the seeded random generators; at cap 3 the first trial rejects 206
+    # candidate lines, so the plane cap decides which lines are drawn
+    "harness_uniform_q5_seed7.jsonl":
+        ["nikodym", "harness", "--generator", "uniform", "--q", "5",
+         "--trials", "3", "--seed", "7"],
+    "harness_plane_capped_q5_cap3_seed7.jsonl":
+        ["nikodym", "harness", "--generator", "plane-capped", "--q", "5",
+         "--trials", "3", "--seed", "7", "--plane-cap", "3"],
     "kakeya_qr_q7.pts": ["kakeya", "build", "--q", "7", "--construction", "qr"],
     "kakeya_thin_q9.pts": ["kakeya", "build", "--q", "9", "--construction", "thin"],
     # the fractional pipeline at the benchmark's five (q, u, alpha) cases,

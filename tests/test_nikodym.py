@@ -192,3 +192,8 @@ def test_harness_infeasible():
         conjecture_harness("plane-capped", 3, 1, seed=0, n_lines=100, plane_cap=1)
     with pytest.raises(GeneratorInfeasible):
         conjecture_harness("hermitian", 5, 1, seed=0)
+
+
+def test_harness_cap_two_is_infeasible_at_q5():
+    with pytest.raises(GeneratorInfeasible, match="admits only 38 of 55"):
+        conjecture_harness("plane-capped", 5, 1, seed=7, plane_cap=2)
