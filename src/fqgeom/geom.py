@@ -5,13 +5,15 @@ nonzero coordinate 1) in lexicographic order, and a point's id is its
 row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  Its
 lines are batched (ProjSpace.line_ids), and one orthogonality product
 (ProjSpace.orthogonal, through the array-valued FieldCtx.dot) gives
-hyperplanes, the hyperplanes through a line, and perpendicular directions.
+hyperplanes and the hyperplanes through a line.
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant).  Directions are the
 points of PG(n-1,q); a line is the pair (direction id, index of its least
 point), which makes dedup and cross-run ordering trivial.
-AffineSpace.line_points lists the points of any number of lines at once.
+AffineSpace.line_points lists the points of any number of lines at once,
+and AffineSpace.line_planes the ids m*q + c of the planes m.x = c through
+them.
 """
 from __future__ import annotations
 
@@ -59,7 +61,6 @@ class AffineSpace:
         self.directions = self.proj.points
         self.ndirs = len(self.directions)  # (q^n - 1)/(q - 1)
         self.nlabels = q ** (n - 1)  # lines per direction
-        self._perp: list | None = None
 
     # -- coordinates --
 
@@ -167,16 +168,30 @@ class AffineSpace:
             for b in np.sort(self.line_bases(self.line_labels([d])[0]))
         ]
 
-    # -- planes (n = 3); a plane is (normal_dir_id, offset) --
+    # -- planes (n = 3); a plane is (normal_dir_id, offset), its id m*q + c --
 
-    def perp_dir_ids(self, dir_id: int) -> np.ndarray:
-        """Ids of the directions orthogonal to the given direction."""
-        if self._perp is None:
-            self._perp = [None] * self.ndirs
-        if self._perp[dir_id] is None:
-            self._perp[dir_id] = np.flatnonzero(
-                self.proj.orthogonal(self.proj.array[[dir_id]]))
-        return self._perp[dir_id]
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """normals[d]: the ascending ids of the q+1 points m of PG(2,q) with
+        m.d = 0.  With d_k = 1 the first nonzero coordinate of d, they are
+        the points of the line through e_i - d_i*e_k for the two i != k."""
+        if self.n != 3:
+            raise UnsupportedField(f"planes need n = 3, not {self.n}")
+        d = self.proj.array
+        k = (d != 0).argmax(axis=1)
+        others = np.array([[1, 2], [0, 2], [0, 1]])[k]  # (ndirs, 2)
+        rows = np.arange(self.ndirs)[:, None]
+        e = np.eye(3, dtype=np.int64)[others]  # (ndirs, 2, 3)
+        e[rows, [0, 1], k[:, None]] = self.ctx.neg_table[d[rows, others]]
+        return self.proj.line_ids(e[:, 0], e[:, 1])
+
+    def line_planes(self, dir_ids, bases) -> np.ndarray:
+        """Ids m*q + c of the q+1 planes m.x = c through each line, in
+        ascending normal order.  dir_ids and bases broadcast as in
+        line_points: one line gives shape (q+1,), k lines give (k, q+1)."""
+        m = self.normals[np.asarray(dir_ids, dtype=np.int64)]
+        x = np.asarray(bases, dtype=np.int64)[..., None] // self.q ** np.arange(3) % self.q
+        return m * self.q + self.ctx.dot(self.proj.array[m], x[..., None, :])
 
     def all_planes(self):
         if self.n != 3:
@@ -188,27 +203,16 @@ class AffineSpace:
         x = self.point_coords(np.arange(self.npoints)).T
         return np.flatnonzero(self.ctx.dot(x, self.proj.array[m]) == c).tolist()
 
-    def planes_through_line(self, line):
-        """The q+1 planes of AG(3,q) containing an affine line."""
-        if self.n != 3:
-            raise UnsupportedField(f"planes need n = 3, not {self.n}")
-        dir_id, base = line
-        m = self.perp_dir_ids(dir_id)
-        c = self.ctx.dot(self.proj.array[m], self.coords(base))
-        return list(zip(m.tolist(), c.tolist()))
-
     def lines_in_plane(self, plane):
-        """The q(q+1) lines contained in a plane, canonical order."""
-        if self.n != 3:
-            raise UnsupportedField(f"planes need n = 3, not {self.n}")
+        """The q(q+1) lines contained in a plane, canonical order: the plane's
+        q^2 points labelled for its q+1 directions at once; a line's base is
+        the first (least) plane point with its label."""
+        dirs = self.normals[plane[0]]
         on_plane = np.array(self.plane_points(plane))
-        out = []
-        for d in self.perp_dir_ids(plane[0]).tolist():
-            labels = self.line_labels([d])[0]
-            bases = self.line_bases(labels)[np.unique(labels[on_plane])]
-            out.extend((d, int(b)) for b in bases)
-        out.sort()
-        return out
+        labels = self.line_labels(dirs, self.point_coords(on_plane))
+        keys = np.arange(len(dirs))[:, None] * self.nlabels + labels
+        row, col = np.divmod(np.unique(keys, return_index=True)[1], len(on_plane))
+        return sorted(zip(dirs[row].tolist(), on_plane[col].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -273,24 +277,11 @@ class PointSet:
 
 
 class LineFamily:
-    """Distinct affine lines with an incrementally-maintained per-plane
-    occupancy index (n = 3 only for the occupancy part)."""
+    """A set of distinct affine lines; plane occupancy is counted on demand."""
 
     def __init__(self, space: AffineSpace, lines=()):
         self.space = space
-        self._lines: set = set()
-        self.occupancy: dict = {}
-        for ln in lines:
-            self.add(ln)
-
-    def add(self, line) -> bool:
-        if line in self._lines:
-            return False
-        self._lines.add(line)
-        if self.space.n == 3:
-            for pl in self.space.planes_through_line(line):
-                self.occupancy[pl] = self.occupancy.get(pl, 0) + 1
-        return True
+        self._lines: set = set(lines)
 
     def __contains__(self, line):
         return line in self._lines
@@ -302,11 +293,14 @@ class LineFamily:
         return sorted(self._lines)
 
     def max_plane_occupancy(self):
-        """(plane, count) with the largest member-line count, or (None, 0)."""
-        if not self.occupancy:
+        """(plane, count) with the largest member-line count, ties to the
+        largest plane (m, c); (None, 0) for no lines or for AG(2,q)."""
+        sp = self.space
+        if not self._lines or sp.n != 3:
             return None, 0
-        pl = max(self.occupancy, key=lambda k: (self.occupancy[k], k))
-        return pl, self.occupancy[pl]
+        counts = np.bincount(sp.line_planes(*split_lines(self._lines)).ravel())
+        top = len(counts) - 1 - int(counts[::-1].argmax())  # the last largest id
+        return divmod(top, sp.q), int(counts[top])
 
     def union_points(self) -> PointSet:
         s = PointSet(self.space.q, self.space.n)
@@ -324,10 +318,7 @@ def split_lines(lines):
 def enumerate_lines(q: int, n: int = 3) -> LineFamily:
     """All q^4+q^3+q^2 affine lines of AG(3,q) (or all lines of AG(2,q))."""
     sp = affine_space(q, n)
-    fam = LineFamily(sp)
-    for ln in sp.all_lines():
-        fam.add(ln)
-    return fam
+    return LineFamily(sp, sp.all_lines())
 
 
 # ---------------------------------------------------------------------------

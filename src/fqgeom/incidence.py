@@ -226,8 +226,9 @@ def generate_planes(q: int, count: int, kind: str, seed: int = 0):
     if kind == "pencil":
         # planes through the line {t*(1,0,0)}, then spill into parallels
         line = sp.canonical_line(int(sp.proj.ids((1, 0, 0))), 0)
-        pencil = sp.planes_through_line(line)
-        rest = [pl for pl in allp if pl not in set(pencil)]
+        pencil = [divmod(p, q) for p in sp.line_planes(*line).tolist()]
+        in_pencil = set(pencil)
+        rest = [pl for pl in allp if pl not in in_pencil]
         out = (pencil + rest)[:count]
         if len(out) < count:
             raise OutOfRange("not enough planes")
@@ -250,7 +251,8 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
         points = [p for pl in members for p in sp.plane_points(pl)]
     else:
         sp = lines.space
-        assert sp.n == 2 and sp.q == q
+        if sp.n != 2 or sp.q != q:
+            raise MismatchedField(f"lines over q={sp.q},n={sp.n}; need q={q},n=2")
         members = lines.lines()
         points = sp.line_points(*split_lines(members))
     k = Fraction(len(members), q)

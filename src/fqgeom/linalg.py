@@ -16,8 +16,8 @@ def rref(mat, ctx: FieldCtx):
     """Reduced row echelon form of a 2-D array of element codes; returns
     (rref, pivot_cols).  The input is not modified.
 
-    A pivot updates only the rows with a nonzero entry in its column, and
-    only the columns from the pivot on (the pivot row is zero to its left).
+    A pivot updates whole columns, from the pivot on (the pivot row is zero
+    to its left), with the multiplier of the pivot row set to 0.
     On prime fields the reduction mod p is delayed, as in FFLAS-FFPACK
     (Dumas-Giorgi-Pernet, arXiv:cs/0601133): a step reduces only the pivot
     column and row, and the matrix is reduced once at the end.  An update
@@ -44,11 +44,10 @@ def rref(mat, ctx: FieldCtx):
         a[r, c:] = ctx.vmul(a[r, c:], ctx.inv(int(a[r, c])))
         col = a[:, c].copy()
         col[r] = 0
-        hit = np.flatnonzero(col)
         if lazy:
-            a[hit, c:] -= col[hit, None] * a[r, c:]
+            a[:, c:] -= col[:, None] * a[r, c:]
         else:
-            a[hit, c:] = ctx.vsubmul(a[hit, c:], col[hit, None], a[r, c:])
+            a[:, c:] = ctx.vsubmul(a[:, c:], col[:, None], a[r, c:])
         pivots.append(c)
         r += 1
     if lazy:

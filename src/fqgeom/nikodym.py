@@ -20,6 +20,7 @@ from .geom import (
     affine_space,
     conic_dual_lines,
     max_line_coincidence,
+    split_lines,
 )
 from .incidence import count_incidences, mixing_bound_holds, mixing_incidence_bound
 
@@ -88,10 +89,6 @@ def verify_nikodym(pset: PointSet):
     return NikodymWitness(pset.q, pset, assignment)
 
 
-def union_of_lines(L: LineFamily) -> PointSet:
-    return L.union_points()
-
-
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def union_lower_bound_check(L: LineFamily, fraction=Fraction(62, 100)) -> dict:
     q = L.space.q
     if Fraction(len(L)) < fraction * q ** 3:
         raise TooFewLines(f"need at least {float(fraction)}*q^3 = {float(fraction) * q**3:.0f} lines")
-    P = union_of_lines(L)
+    P = L.union_points()
     I = q * len(L)
     # smallest nP with the mixing bound >= I; the bound crosses I once in nP
     lo, hi = 0, q ** 3
@@ -114,7 +111,8 @@ def union_lower_bound_check(L: LineFamily, fraction=Fraction(62, 100)) -> dict:
         else:
             lo = mid + 1
     implied = lo
-    assert len(P) >= implied, "union smaller than the mixing-implied bound"
+    if len(P) < implied:
+        raise AssertionError(f"union of {len(P)} points is below the mixing bound {implied}")
     return {
         "q": q,
         "nL": len(L),
@@ -143,11 +141,8 @@ def build_conic_dual_line_family(q: int, fraction=Fraction(62, 100)):
     if coincidence > 2:
         raise AssertionError(f"{coincidence} conic-dual lines share a point")
     sp = affine_space(q, 3)
-    fam = LineFamily(sp)
     planes = [(d, 0) for d in sp.proj.ids(duals).tolist()]
-    for pl in planes:
-        for ln in sp.lines_in_plane(pl):
-            fam.add(ln)
+    fam = LineFamily(sp, (ln for pl in planes for ln in sp.lines_in_plane(pl)))
     P = fam.union_points()
     nL_expected = k * q * (q + 1) - comb(k, 2)
     nP_expected = k * q * q - (q - 1) * comb(k, 2) - (k - 1)
@@ -185,15 +180,14 @@ def _leq_f2_bound(count: int, q: int) -> bool:
 
 
 def coplanar_line_bound_check(witness: NikodymWitness) -> dict:
-    """Count assignment lines inside every plane; assert each count is at
-    most q^{3/2} + 1 + q (exact integer comparison); report the busiest
-    plane."""
+    """Count assignment lines inside every plane; raise AssertionError unless
+    each count is at most q^{3/2} + 1 + q (exact integer comparison); report
+    the busiest plane."""
     sp = affine_space(witness.q, witness.pointset.n)
     fam = LineFamily(sp, witness.assignment.values())
     plane, occ = fam.max_plane_occupancy()
-    assert _leq_f2_bound(occ, witness.q), (
-        f"plane {plane} holds {occ} assignment lines > bound"
-    )
+    if not _leq_f2_bound(occ, witness.q):
+        raise AssertionError(f"plane {plane} holds {occ} lines > bound {f2_bound(witness.q):.3f}")
     return {
         "q": witness.q,
         "n_lines": len(fam),
@@ -226,8 +220,8 @@ def golden_ratio_threshold(tol: float = 1e-12) -> float:
 
 def nikodym_complement_bound_check(pset: PointSet) -> dict:
     """For a verified Nikodym set: recount the witness incidences
-    (exactly (q-1)|complement|) and assert the exact mixing bound on them;
-    report the complement density against the golden-ratio threshold."""
+    (exactly (q-1)|complement|) and check the exact mixing bound on them
+    (AssertionError); report the complement density against the threshold."""
     res = verify_nikodym(pset)
     if isinstance(res, FailingPoints):
         raise NotNikodym(f"{len(res.points)} failing points")
@@ -235,11 +229,13 @@ def nikodym_complement_bound_check(pset: PointSet) -> dict:
     sp = affine_space(q, pset.n)
     fam = LineFamily(sp, res.assignment.values())
     stats = count_incidences(pset, fam)
-    assert stats.incidences == (q - 1) * len(fam)
+    if stats.incidences != (q - 1) * len(fam):
+        raise AssertionError(f"{stats.incidences} witness incidences, not (q-1)*{len(fam)}")
     holds = True
     if fam:
         holds = mixing_bound_holds(stats.incidences, len(pset), len(fam), q)
-        assert holds
+        if not holds:
+            raise AssertionError(f"{stats.incidences} witness incidences break the mixing bound")
     return {
         "q": q,
         "complement": len(fam),
@@ -283,24 +279,27 @@ class ConjectureInstance:
 
 
 def _random_family(sp, count, cap, rng) -> LineFamily:
-    fam = LineFamily(sp)
+    """The first count lines of a shuffled pool that keep every plane at
+    most cap lines; the planes of a block of count candidates come from one
+    line_planes call."""
     pool = sp.all_lines()
     rng.shuffle(pool)
-    for ln in pool:
-        if len(fam) == count:
-            break
-        if cap is not None:
-            if any(
-                fam.occupancy.get(pl, 0) + 1 > cap
-                for pl in sp.planes_through_line(ln)
-            ):
-                continue
-        fam.add(ln)
-    if len(fam) < count:
-        raise GeneratorInfeasible(
-            f"cap {cap} admits only {len(fam)} of {count} requested lines"
-        )
-    return fam
+    lines = pool[:count]
+    if cap is not None:
+        occupancy = np.zeros(sp.ndirs * sp.q, dtype=np.int64)
+        lines, start = [], 0
+        while len(lines) < count and start < len(pool):
+            block = pool[start:start + count]
+            start += count
+            for ln, planes in zip(block, sp.line_planes(*split_lines(block))):
+                if occupancy[planes].max() + 1 <= cap:
+                    occupancy[planes] += 1
+                    lines.append(ln)
+                    if len(lines) == count:
+                        break
+    if len(lines) < count:
+        raise GeneratorInfeasible(f"cap {cap} admits only {len(lines)} of {count} requested lines")
+    return LineFamily(sp, lines)
 
 
 def conjecture_harness(generator: str, q: int, trials: int, seed: int,

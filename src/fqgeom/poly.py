@@ -72,6 +72,16 @@ class DegreeCap:
         """total < m*q, exactly.  m*q = a*q + b*q^(2/3)."""
         return sign_frac_plus_cbrt(self.a * q - total, self.b, q) > 0
 
+    def max_total(self, q: int) -> int:
+        """The largest total degree below m*q (negative for m <= 0): a float
+        estimate, corrected by the exact allows_total."""
+        top = ceil(self.value(q) * q) - 1
+        while self.allows_total(top + 1, q):
+            top += 1
+        while not self.allows_total(top, q):
+            top -= 1
+        return top
+
     def value(self, q: int) -> float:
         return float(self.a) + float(self.b) * q ** (-1 / 3)
 
@@ -94,17 +104,12 @@ def count_capped_monomials(n: int, q: int, m) -> int:
     total degree < m*q (m a number or a DegreeCap), by inclusion-exclusion.
 
     The class peeled at step i has total degree at most ceil((m-i)*q) - 1 =
-    top - i*q, with top the largest total degree below m*q: a float
-    estimate, corrected by the exact DegreeCap.allows_total.  Binomial(t, n)
-    is 0 for t < n, which absorbs the empty classes."""
+    top - i*q, with top = DegreeCap.max_total(q).  Binomial(t, n) is 0 for
+    t < n, which absorbs the empty classes."""
     cap = _as_cap(m)
     if n < 1 or q < 2 or not cap.allows_total(0, q):
         raise ValueError("need n >= 1, q >= 2, m > 0")
-    top = ceil(cap.value(q) * q) - 1
-    while cap.allows_total(top + 1, q):
-        top += 1
-    while not cap.allows_total(top, q):
-        top -= 1
+    top = cap.max_total(q)
     total = 0
     for i in range(n + 1):
         t = top - i * q + n
@@ -120,8 +125,8 @@ def count_capped_monomials_bruteforce(n: int, q: int, m) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_exponents(n: int, q: int, a: Fraction, b: Fraction):
-    cap = DegreeCap(a, b)
-    exps = [e for e in product(range(q), repeat=n) if cap.allows_total(sum(e), q)]
+    top = DegreeCap(a, b).max_total(q)
+    exps = [e for e in product(range(q), repeat=n) if sum(e) <= top]
     exps.sort(key=lambda e: (sum(e), e))  # graded-lex
     return tuple(exps)
 

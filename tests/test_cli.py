@@ -376,3 +376,45 @@ def test_kakeya_claim_checks_survive_optimize():
         "pipeline: qr construction failed verification at q = 5",
         "bound: multiplicity m = 0 must be at least 1",
     ]
+
+
+NIKODYM_CHECKS_SCRIPT = """
+from fqgeom import nikodym
+from fqgeom.geom import LineFamily, MismatchedField, PointSet, affine_space
+from fqgeom.incidence import cover_fraction_check
+sp = affine_space(5, 3)
+witness = nikodym.verify_nikodym(PointSet.full(5))
+LineFamily.max_plane_occupancy = lambda self: ((0, 0), 100)
+try:
+    nikodym.coplanar_line_bound_check(witness)
+except AssertionError as e:
+    print("coplanar:", e)
+nikodym.mixing_bound_holds = lambda *args: False
+try:
+    nikodym.nikodym_complement_bound_check(PointSet(5, 3, range(1, 125)))
+except AssertionError as e:
+    print("complement:", e)
+sp3 = affine_space(3, 3)
+L = LineFamily(sp3, sp3.lines_in_plane((0, 0)) + sp3.lines_in_plane((1, 0)))
+try:
+    nikodym.union_lower_bound_check(L)
+except AssertionError as e:
+    print("union:", e)
+try:
+    cover_fraction_check(5, lines=LineFamily(sp, sp.all_lines()[:10]))
+except MismatchedField as e:
+    print("cover:", e)
+"""
+
+
+def test_nikodym_claim_checks_survive_optimize():
+    # a plane over the coplanar bound, a broken mixing bound and a family
+    # over the wrong space are refused under `python -O` too
+    proc = python_optimized("-c", NIKODYM_CHECKS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "coplanar: plane (0, 0) holds 100 lines > bound 17.180",
+        "complement: 4 witness incidences break the mixing bound",
+        "union: union of 15 points is below the mixing bound 27",
+        "cover: lines over q=5,n=3; need q=5,n=2",
+    ]

@@ -92,11 +92,69 @@ def test_planes(q):
 def test_planes_through_line(q):
     sp = affine_space(q, 3)
     line = sp.canonical_line(0, 0)
-    planes = sp.planes_through_line(line)
-    assert len(planes) == q + 1
+    planes = [divmod(p, q) for p in sp.line_planes(*line).tolist()]
+    assert len(set(planes)) == q + 1
     lp = set(sp.line_points(*line))
     for pl in planes:
         assert lp <= set(sp.plane_points(pl))
+
+
+def plane_membership(sp):
+    """Bool (planes, points) matrix from plane_points, rows by id m*q + c."""
+    member = np.zeros((sp.ndirs * sp.q, sp.npoints), dtype=bool)
+    for m, c in sp.all_planes():
+        member[m * sp.q + c, sp.plane_points((m, c))] = True
+    return member
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_line_planes_brute_force(q):
+    # a plane id is returned iff the plane holds the whole line
+    sp = affine_space(q, 3)
+    member = plane_membership(sp)
+    lines = sp.all_lines()
+    lines = lines[:: max(1, len(lines) // 300)]
+    dirs, bases = geom.split_lines(lines)
+    got = sp.line_planes(dirs, bases)
+    assert got.shape == (len(lines), q + 1)
+    holds = member[:, sp.line_points(dirs, bases)].all(axis=-1).T  # (lines, planes)
+    for row, want in zip(got, holds):
+        assert row.tolist() == np.flatnonzero(want).tolist()  # ascending
+    for (d, b), row in zip(lines[:: 17], got[:: 17]):
+        one = sp.line_planes(d, b)
+        assert one.shape == (q + 1,) and one.tolist() == row.tolist()
+    assert sp.line_planes([], []).shape == (0, q + 1)
+
+
+def recount_max_occupancy(fam):
+    """(plane, count) by brute force over all planes, ties to the largest."""
+    sp = fam.space
+    member = plane_membership(sp)
+    lines = fam.lines()
+    counts = member[:, sp.line_points(*geom.split_lines(lines))].all(axis=-1).sum(axis=1)
+    return max(((int(n), divmod(pid, sp.q)) for pid, n in enumerate(counts)))[::-1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_max_plane_occupancy_matches_recount(q):
+    sp = affine_space(q, 3)
+    lines = sp.all_lines()
+    rng = np.random.default_rng(q)
+    for size in (1, 3, q * q, 4 * q * q):
+        pick = rng.choice(len(lines), size=min(size, len(lines)), replace=False)
+        fam = LineFamily(sp, [lines[i] for i in pick])
+        plane, occ = fam.max_plane_occupancy()
+        assert (plane, occ) == recount_max_occupancy(fam)
+        assert type(occ) is int and all(type(x) is int for x in plane)
+    # a tie: one line puts 1 in each of its q+1 planes, and the largest wins
+    line = lines[len(lines) // 2]
+    top = int(sp.line_planes(*line).max())
+    assert LineFamily(sp, [line]).max_plane_occupancy() == (divmod(top, q), 1)
+    # a tie between two planes of q(q+1) lines each
+    both = sp.lines_in_plane((0, 0)) + sp.lines_in_plane((0, q - 1))
+    assert LineFamily(sp, both).max_plane_occupancy() == ((0, q - 1), q * (q + 1))
+    assert LineFamily(sp).max_plane_occupancy() == (None, 0)
+    assert LineFamily(affine_space(q, 2), [(0, 0)]).max_plane_occupancy() == (None, 0)
 
 
 def test_normalize_dir():
@@ -228,7 +286,7 @@ def test_shear_table_is_bounded():
 def test_plane_methods_need_three_dimensions():
     sp = affine_space(5, 2)
     line = sp.all_lines()[0]
-    for call in (sp.all_planes, lambda: sp.planes_through_line(line),
+    for call in (sp.all_planes, lambda: sp.line_planes(*line),
                  lambda: sp.lines_in_plane((0, 0))):
         with pytest.raises(UnsupportedField, match="n = 3"):
             call()

@@ -17,7 +17,6 @@ from fqgeom.nikodym import (
     golden_ratio_threshold,
     nikodym_complement_bound_check,
     union_lower_bound_check,
-    union_of_lines,
     verify_nikodym,
     write_records,
 )
@@ -78,11 +77,11 @@ def test_planar_slab_not_nikodym_for_far_points():
 def test_union_of_lines_counts():
     sp = affine_space(3, 3)
     one = LineFamily(sp, [sp.canonical_line(0, 0)])
-    assert len(union_of_lines(one)) == 3
+    assert len(one.union_points()) == 3
     l1 = sp.canonical_line(0, 0)
     l2 = sp.canonical_line(1, 0)
     two = LineFamily(sp, [l1, l2])
-    assert len(union_of_lines(two)) == 5  # intersecting at the origin
+    assert len(two.union_points()) == 5  # intersecting at the origin
 
 
 @pytest.mark.parametrize("q,k", [(5, 3), (7, 4), (13, 8)])
