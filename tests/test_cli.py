@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -268,6 +269,9 @@ GOLDEN_OUTPUTS = {
         ["hermitian", "tangent-family", "--p", "2", "--alpha", "1/2", "--seed", "3"],
     "tangent_p3_alpha1-8_seed1.lines":
         ["hermitian", "tangent-family", "--p", "3", "--alpha", "1/8", "--seed", "1"],
+    # alpha*|V| < 1: no point sampled, an empty family with occupancy 0
+    "tangent_p2_alpha1-64_seed1.lines":
+        ["hermitian", "tangent-family", "--p", "2", "--alpha", "1/64", "--seed", "1"],
     "harness_hermitian_q4_seed7.jsonl":
         ["nikodym", "harness", "--generator", "hermitian", "--q", "4",
          "--trials", "5", "--seed", "7"],
@@ -328,6 +332,19 @@ def test_outputs_match_committed_files(name, tmp_path, capsys):
     assert proc.returncode == 0
     assert report_rows(proc.stdout) == rows
     assert (tmp_path / name).read_bytes() == golden
+
+
+def test_tangent_family_p5_matches_committed_rows(tmp_path, capsys):
+    # GF(25): 409 sampled points and 8180 lines, each line's q+1 planes
+    # counted for the occupancy; the 196 KB --out file is pinned by hash
+    out = tmp_path / "tangent_p5.lines"
+    code, stdout = run(["hermitian", "tangent-family", "--p", "5", "--alpha", "1/8",
+                        "--seed", "1", "--out", str(out)], capsys)
+    assert code == 0
+    assert report_rows(stdout.encode()) == (
+        DATA / "tangent_p5_alpha1-8_seed1.rows.json").read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fb03c66feb6b97f3f64d2a100f2eb5607c74d27affcc6015c6bf861c567c4b1e")
 
 
 # the benchmark's pipeline cases with its own retry caps, which the CLI does
