@@ -3,9 +3,9 @@
 PG(n,q) is an (N, n+1) array of normalized coordinate vectors (first
 nonzero coordinate 1) in lexicographic order, and a point's id is its
 row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  Its
-lines are batched (ProjSpace.line_ids), and one orthogonality product
-(ProjSpace.orthogonal, through the array-valued FieldCtx.dot) gives
-hyperplanes and the hyperplanes through a line.
+lines are batched (ProjSpace.line_ids), and ProjSpace.perp_lines gives
+the line orthogonal to n-1 independent rows from their kernel
+(linalg.nullspace): normals, planes through a line, lines of PG(2,q).
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant).  Directions are the
@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gf import DegreeTooLarge, FieldCtx, NonPrime, field_of_order
+from .linalg import nullspace
 
 
 # the most points a ProjSpace or an AffineSpace holds: a ProjSpace's (N, n+1)
@@ -173,17 +174,10 @@ class AffineSpace:
     @cached_property
     def normals(self) -> np.ndarray:
         """normals[d]: the ascending ids of the q+1 points m of PG(2,q) with
-        m.d = 0.  With d_k = 1 the first nonzero coordinate of d, they are
-        the points of the line through e_i - d_i*e_k for the two i != k."""
+        m.d = 0."""
         if self.n != 3:
             raise UnsupportedField(f"planes need n = 3, not {self.n}")
-        d = self.proj.array
-        k = (d != 0).argmax(axis=1)
-        others = np.array([[1, 2], [0, 2], [0, 1]])[k]  # (ndirs, 2)
-        rows = np.arange(self.ndirs)[:, None]
-        e = np.eye(3, dtype=np.int64)[others]  # (ndirs, 2, 3)
-        e[rows, [0, 1], k[:, None]] = self.ctx.neg_table[d[rows, others]]
-        return self.proj.line_ids(e[:, 0], e[:, 1])
+        return self.proj.perp_lines(self.proj.array[:, None, :])
 
     def line_planes(self, dir_ids, bases) -> np.ndarray:
         """Ids m*q + c of the q+1 planes m.x = c through each line, in
@@ -391,20 +385,26 @@ class ProjSpace:
         lines = np.unique(self.line_ids(self.array[i], self.array[j]), axis=0)
         return [tuple(self.points[k] for k in ln) for ln in lines.tolist()]
 
-    def orthogonal(self, rows) -> np.ndarray:
-        """Mask over the ids of the points x with r.x = 0 for every row r:
-        rows of shape (..., k, n+1) give a mask of shape (..., N)."""
-        rows = np.asarray(rows, dtype=np.int64)[..., None, :]
-        return ~self.ctx.dot(self.array, rows).any(axis=-2)
+    def perp_lines(self, rows) -> np.ndarray:
+        """Sorted ids of the q+1 points x with r.x = 0 for every row r of
+        each (n-1, n+1) matrix on the last two axes (other axes batch): the
+        line through the two vectors of the matrix's kernel.  ValueError
+        when a matrix's rows are dependent."""
+        rows = np.asarray(rows, dtype=np.int64)
+        shape = (self.n - 1, self.n + 1)
+        if rows.shape[-2:] != shape:
+            raise ValueError(f"perp_lines needs {shape} matrices, not {rows.shape[-2:]}")
+        kernels = [nullspace(m, self.ctx) for m in rows.reshape((-1,) + shape)]
+        if any(len(k) != 2 for k in kernels):
+            raise ValueError("rows are dependent: their kernel is not a line")
+        basis = np.array(kernels, dtype=np.int64).reshape(-1, 2, self.n + 1)
+        return self.line_ids(basis[:, 0], basis[:, 1]).reshape(rows.shape[:-2] + (self.q + 1,))
 
     def hyperplane_points(self, coeffs):
         """Points x with c.x = 0 for the coefficient vector c, or for every
         row c of a matrix."""
-        return [self.points[i] for i in np.flatnonzero(self.orthogonal(np.atleast_2d(coeffs)))]
-
-    def hyperplanes_through_line(self, u, v):
-        """The hyperplanes containing u and v, as the points orthogonal to both."""
-        return self.hyperplane_points([u, v])
+        on = ~self.ctx.dot(self.array, np.atleast_2d(coeffs)[:, None, :]).any(axis=0)
+        return [self.points[i] for i in np.flatnonzero(on)]
 
 
 @lru_cache(maxsize=None)
@@ -427,5 +427,5 @@ def conic_dual_lines(q: int):
 def max_line_coincidence(q: int, line_coeffs) -> int:
     """Largest number of the given PG(2,q) lines through a single point."""
     pg = proj_space(q, 2)
-    on = pg.orthogonal(np.reshape(line_coeffs, (-1, 1, 3)))  # (lines, points)
-    return int(on.sum(axis=0).max())
+    on = pg.perp_lines(np.reshape(line_coeffs, (-1, 1, 3)))  # (lines, q+1)
+    return int(np.bincount(on.ravel(), minlength=len(pg.array)).max())

@@ -167,7 +167,8 @@ def phi(n: int, q: int) -> int:
 def degenerate_count(n: int, q: int, r: int) -> int:
     """Point count of a rank-r Hermitian variety in PG(n,q), 1 <= r <= n+1:
     (q^{n-r+1}-1)*phi(r-1,q) + (q^{n-r+1}-1)/(q-1) + phi(r-1,q)."""
-    assert 1 <= r <= n + 1
+    if not 1 <= r <= n + 1:
+        raise ValueError(f"rank r = {r} outside 1..{n + 1}")
     t = q ** (n - r + 1) - 1
     assert t % (q - 1) == 0
     return t * phi(r - 1, q) + t // (q - 1) + phi(r - 1, q)
@@ -211,19 +212,19 @@ def tangent_space(V: HermitianVariety, c):
 
 
 def tangent_lines_at(V: HermitianVariety, c) -> list:
-    """The q - sqrt(q) lines through non-singular c in V meeting V only
-    at c, each as the sorted tuple of its q+1 points, in the order of their
-    least point other than c; ValueError at a singular point."""
+    """The q - sqrt(q) lines through non-singular c in V in PG(3,q) meeting
+    V only at c, each as the sorted tuple of its q+1 points, in the order
+    of their least point other than c; ValueError at a singular point."""
     w = tangent_space(V, c)
     if isinstance(w, WholeSpace):
         raise ValueError(f"singular point {c} has no tangent lines")
     pg = proj_space(V.q, V.n)
-    others = pg.orthogonal([w])
-    others[pg.ids(c)] = False
-    lines = pg.line_ids(c, pg.array[others])
-    # a line through c comes once per point on it other than c; keep the first
-    _, first = np.unique(lines, axis=0, return_index=True)
-    lines = lines[np.sort(first)]
+    # each line through c in the tangent plane meets the line where that
+    # plane cuts x_i = 0, for c_i the leading coordinate of c, once; the
+    # meet m is the line's least point other than c: normalized, m + t*c
+    # (t != 0) agrees with m before x_i, where m has 0 and it does not
+    e = np.eye(V.n + 1, dtype=np.int64)[np.flatnonzero(c)[0]]
+    lines = pg.line_ids(c, pg.array[pg.perp_lines([w, e])])
     lines = lines[_meet_sizes(V, lines) == 1]
     return [tuple(pg.points[i] for i in ln) for ln in lines.tolist()]
 
@@ -293,12 +294,8 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
         )
 
     # max plane occupancy (reported only): the planes through a line are
-    # the points orthogonal to two of its points, taken a chunk of lines at
-    # a time
-    occupancy = np.zeros(len(pg.array), dtype=np.int64)
-    step = max(1, (1 << 13) // len(pg.array))
-    for start in range(0, len(ids), step):
-        occupancy += pg.orthogonal(pg.array[ids[start:start + step, :2]]).sum(axis=0)
+    # the points orthogonal to two of its points
+    occupancy = np.bincount(pg.perp_lines(pg.array[ids[:, :2]]).ravel(), minlength=len(pg.array))
 
     # affine restriction: drop the hyperplane x0 = 0, whose points are the
     # ids below (q^n - 1)/(q - 1); a line's ids are sorted

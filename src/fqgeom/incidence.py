@@ -190,10 +190,9 @@ def mixing_discrepancy_check(P: PointSet, L: LineFamily) -> dict:
     lhs = abs(Fraction(stats.incidences, eG) - alpha * beta)
     rhs_sq = lam2 * X
     holds = lhs * lhs <= rhs_sq
-    assert holds, (
-        f"mixing inequality violated at q={q}: lhs={float(lhs)}, "
-        f"rhs={math.sqrt(float(rhs_sq))}"
-    )
+    if not holds:
+        raise AssertionError(f"mixing inequality violated at q={q}: lhs={float(lhs)}, "
+                             f"rhs={math.sqrt(float(rhs_sq))}")
     return {
         "q": q,
         "incidences": stats.incidences,
@@ -240,9 +239,9 @@ def generate_planes(q: int, count: int, kind: str, seed: int = 0):
 
 
 def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -> dict:
-    """For kq planes of AG(3,q) (or kq lines of AG(2,q)), assert the
+    """For kq planes of AG(3,q) (or kq lines of AG(2,q)), check that the
     covered-point count is at least (1 - 1/(k - 1 + 1/k)) * q^n, k > 1
-    held as an exact rational k = count/q."""
+    held as an exact rational k = count/q; AssertionError when it is not."""
     if (planes is None) == (lines is None):
         raise ValueError("pass exactly one of planes / lines")
     if planes is not None:
@@ -265,7 +264,8 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
     denom = k - 1 + 1 / k
     bound = (1 - 1 / denom) * total
     holds = Fraction(len(covered)) >= bound
-    assert holds, f"cover bound violated: {len(covered)} < {float(bound)}"
+    if not holds:
+        raise AssertionError(f"cover bound violated: {len(covered)} < {float(bound)}")
     return {
         "q": q,
         "kind": "planes" if planes is not None else "lines",

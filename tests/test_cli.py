@@ -435,3 +435,40 @@ def test_nikodym_claim_checks_survive_optimize():
         "union: union of 15 points is below the mixing bound 27",
         "cover: lines over q=5,n=3; need q=5,n=2",
     ]
+
+
+INCIDENCE_CHECKS_SCRIPT = """
+from fqgeom import geom, hermitian, incidence
+from fqgeom.geom import LineFamily, PointSet, affine_space
+sp = affine_space(3, 3)
+pieces = incidence._mixing_pieces
+incidence._mixing_pieces = lambda *args: pieces(*args)[:3] + (0,) + pieces(*args)[4:]
+try:
+    incidence.mixing_discrepancy_check(PointSet(3, 3, [0]), LineFamily(sp, sp.lines_through(0)))
+except AssertionError as e:
+    print("mixing:", e)
+geom.AffineSpace.plane_points = lambda self, plane: []
+try:
+    incidence.cover_fraction_check(3, planes=sp.all_planes()[:6])
+except AssertionError as e:
+    print("cover:", e)
+for r in (0, 5):
+    try:
+        hermitian.degenerate_count(3, 4, r)
+    except ValueError as e:
+        print("rank:", e)
+"""
+
+
+def test_incidence_claim_checks_survive_optimize():
+    # a mixing inequality with a zero spectral radius, a plane family that
+    # covers nothing and a rank outside 1..n+1 are refused under `python -O`
+    # too, where an assert would be stripped
+    proc = python_optimized("-c", INCIDENCE_CHECKS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "mixing: mixing inequality violated at q=3: lhs=0.03292181069958848, rhs=0.0",
+        "cover: cover bound violated: 0 < 9.0",
+        "rank: rank r = 0 outside 1..4",
+        "rank: rank r = 5 outside 1..4",
+    ]

@@ -225,7 +225,42 @@ def test_hyperplanes_through_line_brute_force(q, n):
         u, v = pg.points[i], pg.points[j]
         expect = [c for c in pg.points if dot(c, u) == dot(c, v) == 0]
         assert len(expect) == (q ** (n - 1) - 1) // (q - 1)
-        assert pg.hyperplanes_through_line(u, v) == expect
+        assert pg.hyperplane_points([u, v]) == expect
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_perp_lines_brute_force(q, n):
+    # each (n-1, n+1) matrix gives the sorted ids of the points orthogonal to
+    # all its rows, found here by dotting every point with every row
+    pg = proj_space(q, n)
+    rng = np.random.default_rng(10 * q + n)
+
+    def perp(m):
+        return [i for i, x in enumerate(pg.points) if all(pg.ctx.dot(r, x) == 0 for r in m)]
+
+    mats, expect = [], []
+    while len(mats) < 7:
+        m = rng.integers(0, q, size=(n - 1, n + 1))
+        ids = perp(m)
+        if len(ids) == q + 1:  # the rows are independent
+            mats.append(m)
+            expect.append(ids)
+    mats, expect = np.array(mats), np.array(expect)
+    assert pg.perp_lines(mats[0]).tolist() == expect[0].tolist()
+    assert pg.perp_lines(mats[1:]).tolist() == expect[1:].tolist()
+    assert pg.perp_lines(mats[1:].reshape(2, 3, n - 1, n + 1)).tolist() == (
+        expect[1:].reshape(2, 3, q + 1).tolist())
+    assert pg.perp_lines(mats[:0]).shape == (0, q + 1)
+    assert pg.perp_lines(mats[:0].reshape(3, 0, n - 1, n + 1)).shape == (3, 0, q + 1)
+    # a zero row, or (at n = 3) two proportional rows, leave a larger kernel
+    dependent = np.zeros((n - 1, n + 1), dtype=np.int64)
+    if n == 3:
+        dependent[0] = mats[0][0]
+        dependent[1] = pg.ctx.vmul(mats[0][0], q - 1)
+    for bad in (dependent, np.concatenate([mats[1:3], dependent[None]])):
+        with pytest.raises(ValueError, match="dependent"):
+            pg.perp_lines(bad)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 2), (9, 3), (2, 4)])

@@ -126,6 +126,33 @@ def test_tangent_space_structure():
         assert len(tangent_lines_at(V, c)) == q - r
 
 
+@pytest.mark.parametrize("make", ["identity", "random"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_tangent_lines_at_brute_force(p, make):
+    # the lines through c meeting V only at c, taken from every line of
+    # PG(3,q) and ordered by their least point other than c
+    q = p * p
+    if make == "identity":
+        V = build_hermitian(identity_hermitian(p, 3), 3)
+    else:
+        V = next(W for W in (build_hermitian(random_hermitian(p, 3, s), 3)
+                             for s in range(100)) if W.non_degenerate)
+        assert V.H != identity_hermitian(p, 3)
+    on_v = set(V.points)
+    lines = proj_space(q, 3).all_lines()
+    for c in V.points[::len(V.points) // 4]:
+        expect = [ln for ln in lines if c in ln and sum(x in on_v for x in ln) == 1]
+        expect.sort(key=lambda ln: min(x for x in ln if x != c))
+        assert len(expect) == q - isqrt(q)
+        assert tangent_lines_at(V, c) == expect
+
+
+def test_degenerate_count_rank_range():
+    for r in (0, 5):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            degenerate_count(3, 4, r)
+
+
 def test_tangent_space_of_singular_point():
     ctx = identity_hermitian(2, 2).ctx
     H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
