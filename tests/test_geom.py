@@ -261,6 +261,8 @@ def test_perp_lines_brute_force(q, n):
     for bad in (dependent, np.concatenate([mats[1:3], dependent[None]])):
         with pytest.raises(ValueError, match="dependent"):
             pg.perp_lines(bad)
+    with pytest.raises(ValueError, match="matrices"):
+        pg.perp_lines(pg.array[:n])  # n rows, not n-1
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 2), (9, 3), (2, 4)])
