@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 SCHEMA_VERSION = 1
 
@@ -416,6 +417,7 @@ def cmd_suite(args) -> dict:
 # wiring
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")

@@ -2,10 +2,12 @@
 
 PG(n,q) is an (N, n+1) array of normalized coordinate vectors (first
 nonzero coordinate 1) in lexicographic order, and a point's id is its
-row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  Its
-lines are batched (ProjSpace.line_ids), and ProjSpace.perp_lines gives
-the line orthogonal to n-1 independent rows from their kernel
-(linalg.nullspace): normals, planes through a line, lines of PG(2,q).
+row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  A
+projective line is a sorted row of its q+1 point ids: ProjSpace.line_ids
+spans them in batches, ProjSpace.all_lines stacks every line, and
+ProjSpace.perp_lines gives the line orthogonal to n-1 independent rows
+from their kernel (linalg.nullspace): normals, planes through a line,
+lines of PG(2,q).
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant).  Directions are the
@@ -372,18 +374,13 @@ class ProjSpace:
         w = np.concatenate([w, np.broadcast_to(v, w[..., :1, :].shape)], axis=-2)
         return np.sort(self.ids(w), axis=-1)
 
-    def line_points(self, u, v):
-        """Point tuples of the projective line through distinct points u, v."""
-        return tuple(self.points[i] for i in self.line_ids(u, v).tolist())
-
-    def all_lines(self):
-        """Every projective line once, as a sorted tuple of point tuples: each
-        is spanned by a point of x0 = 0 (the first (q^n - 1)/(q - 1) ids) and
-        a point of larger id."""
+    def all_lines(self) -> np.ndarray:
+        """Every projective line once, as ascending rows of sorted point
+        ids: each is spanned by a point of x0 = 0 (the first
+        (q^n - 1)/(q - 1) ids) and a point of larger id."""
         m = (self.q ** self.n - 1) // (self.q - 1)
         i, j = np.nonzero(np.triu(np.ones((m, len(self.array)), dtype=bool), 1))
-        lines = np.unique(self.line_ids(self.array[i], self.array[j]), axis=0)
-        return [tuple(self.points[k] for k in ln) for ln in lines.tolist()]
+        return np.unique(self.line_ids(self.array[i], self.array[j]), axis=0)
 
     def perp_lines(self, rows) -> np.ndarray:
         """Sorted ids of the q+1 points x with r.x = 0 for every row r of

@@ -204,10 +204,11 @@ class FieldCtx:
         return int(self.inv_table[a])
 
     def conj(self, a: int) -> int:
-        """Frobenius conjugate a -> a^p (square-order fields only)."""
-        if self.k != 2:
-            raise WrongDegree("conjugation requires k = 2")
-        return self.pow(a, self.p)
+        """Conjugate a -> a^r of GF(r^2), r = sqrt(q) = p^(k/2); WrongDegree
+        for odd k."""
+        if self.k % 2:
+            raise WrongDegree(f"conjugation needs even k, not k = {self.k}")
+        return self.pow(a, self.p ** (self.k // 2))
 
     # -- array kernel: elementwise on numpy arrays of codes, broadcasting --
 
@@ -297,7 +298,3 @@ def field_of_order(q: int) -> FieldCtx:
     if q > TABLE_LIMIT:  # refused before the trial division for p
         raise DegreeTooLarge(f"field order {q} over {TABLE_LIMIT}")
     return make_field(*prime_power(q))
-
-
-def frobenius_conjugate(ctx: FieldCtx, a: int) -> int:
-    return ctx.conj(a)

@@ -1,11 +1,11 @@
-"""Hermitian varieties in PG(n, q) for square q = p^2: construction and
-point enumeration, rank and singular space, line classification, tangent
-spaces, and the tangent-line families used to probe plane-occupancy
-behaviour of large line sets.
+"""Hermitian varieties in PG(n, q) for square q = r^2, r any prime power:
+construction and point enumeration, rank and singular space, line
+classification, tangent spaces, and the tangent-line families used to
+probe plane-occupancy behaviour of large line sets.
 
 The form x^T H conj(x) is evaluated over the whole point array of
-PG(n, q), conjugation being the p-th power, and a variety keeps its
-membership mask over point ids; lines are rows of point ids.
+PG(n, q), conjugation being x -> x^r, and a variety keeps its membership
+mask over point ids.  A line is a sorted row of its q+1 point ids.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from math import isqrt
 
 import numpy as np
 
-from .gf import FieldCtx, make_field
+from .gf import FieldCtx, field_of_order
 from .geom import LineFamily, affine_space, proj_space
 from .linalg import rref
 
@@ -53,7 +53,7 @@ class HermitianMatrix:
     entries: tuple  # (n+1) x (n+1), row-major tuple of tuples
 
     def __post_init__(self):
-        if self.ctx.k != 2:
+        if self.ctx.k % 2:
             raise NonSquareField(f"GF({self.ctx.q}) is not a square-order field (k={self.ctx.k})")
         m = self.entries
         size = len(m)
@@ -72,12 +72,13 @@ class HermitianMatrix:
     def apply_conj(self, x):
         """H * conj(x) for vectors x on the last axis (other axes batch)."""
         ctx = self.ctx
-        xc = ctx.pow_table[np.asarray(x, dtype=np.int64), ctx.p]
+        xc = ctx.pow_table[:, _root_q(ctx.q)][np.asarray(x, dtype=np.int64)]
         return ctx.dot(np.array(self.entries), xc[..., None, :])
 
 
-def identity_hermitian(p: int, n: int) -> HermitianMatrix:
-    ctx = make_field(p, 2)
+def identity_hermitian(r: int, n: int) -> HermitianMatrix:
+    """The identity form in PG(n, r^2)."""
+    ctx = field_of_order(r * r)
     size = n + 1
     rows = tuple(
         tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
@@ -85,10 +86,10 @@ def identity_hermitian(p: int, n: int) -> HermitianMatrix:
     return HermitianMatrix(ctx, rows)
 
 
-def random_hermitian(p: int, n: int, seed: int) -> HermitianMatrix:
-    """Uniform Hermitian matrix: random upper triangle over GF(p^2),
-    diagonal restricted to the fixed field of conjugation."""
-    ctx = make_field(p, 2)
+def random_hermitian(r: int, n: int, seed: int) -> HermitianMatrix:
+    """Uniform Hermitian matrix: random upper triangle over GF(r^2),
+    diagonal restricted to the fixed field GF(r) of conjugation."""
+    ctx = field_of_order(r * r)
     rng = random.Random(seed)
     size = n + 1
     fixed = [a for a in ctx.elements() if ctx.conj(a) == a]
@@ -192,10 +193,10 @@ def _meet_sizes(V: HermitianVariety, lines) -> np.ndarray:
     return sizes
 
 
-def classify_line(V: HermitianVariety, line_points) -> str:
-    """'tangent' (1 point), 'secant' (sqrt(q)+1), or 'contained' (q+1);
-    anything else raises InternalClassificationError."""
-    size = _meet_sizes(V, proj_space(V.q, V.n).ids([line_points]))[0]
+def classify_line(V: HermitianVariety, line) -> str:
+    """'tangent' (1 point), 'secant' (sqrt(q)+1), or 'contained' (q+1) for
+    a row of point ids; anything else raises InternalClassificationError."""
+    size = _meet_sizes(V, np.asarray(line, dtype=np.int64)[None])[0]
     return {1: "tangent", _root_q(V.q) + 1: "secant", V.q + 1: "contained"}[size]
 
 
@@ -211,22 +212,38 @@ def tangent_space(V: HermitianVariety, c):
     return tuple(w.tolist())
 
 
-def tangent_lines_at(V: HermitianVariety, c) -> list:
+def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
     """The q - sqrt(q) lines through non-singular c in V in PG(3,q) meeting
-    V only at c, each as the sorted tuple of its q+1 points, in the order
-    of their least point other than c; ValueError at a singular point."""
-    w = tangent_space(V, c)
-    if isinstance(w, WholeSpace):
-        raise ValueError(f"singular point {c} has no tangent lines")
-    pg = proj_space(V.q, V.n)
+    V only at c, as (q - sqrt(q), q+1) rows of sorted point ids in the
+    order of their least point other than c.  c is a point on the last
+    axis; leading axes batch, and lead the result.  ValueError for a point
+    off V or a singular one; AssertionError unless each point has exactly
+    q - sqrt(q) tangent lines."""
+    q, r = V.q, _root_q(V.q)
+    pg = proj_space(q, V.n)
+    c = np.asarray(c, dtype=np.int64)
+    pts = c.reshape(-1, V.n + 1)
+    off = ~V.mask[pg.ids(pts)]
+    if off.any():
+        raise ValueError(f"tangent space requires a variety point, got {tuple(pts[off][0].tolist())}")
+    w = V.H.apply_conj(pts)
+    singular = ~w.any(axis=1)
+    if singular.any():
+        raise ValueError(f"singular point {tuple(pts[singular][0].tolist())} has no tangent lines")
     # each line through c in the tangent plane meets the line where that
     # plane cuts x_i = 0, for c_i the leading coordinate of c, once; the
     # meet m is the line's least point other than c: normalized, m + t*c
     # (t != 0) agrees with m before x_i, where m has 0 and it does not
-    e = np.eye(V.n + 1, dtype=np.int64)[np.flatnonzero(c)[0]]
-    lines = pg.line_ids(c, pg.array[pg.perp_lines([w, e])])
-    lines = lines[_meet_sizes(V, lines) == 1]
-    return [tuple(pg.points[i] for i in ln) for ln in lines.tolist()]
+    e = np.eye(V.n + 1, dtype=np.int64)[(pts != 0).argmax(axis=1)]
+    meets = pg.array[pg.perp_lines(np.stack([w, e], axis=1))]
+    lines = pg.line_ids(pts[:, None, :], meets)
+    tangent = _meet_sizes(V, lines) == 1
+    counts = tangent.sum(axis=1)
+    if (counts != q - r).any():
+        i = np.flatnonzero(counts != q - r)[0]
+        raise AssertionError(
+            f"{counts[i]} tangent lines at {tuple(pts[i].tolist())}, not q - sqrt(q) = {q - r}")
+    return lines[tangent].reshape(c.shape[:-1] + (q - r, q + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +253,15 @@ def tangent_lines_at(V: HermitianVariety, c) -> list:
 @dataclass
 class TangentLineFamily:
     V: HermitianVariety
-    alpha_num: int
-    alpha_den: int
-    seed: int
-    base_points: list
-    lines: list  # tuples of point tuples
+    lines: np.ndarray  # (|L|, q+1) sorted point ids
 
     def __len__(self):
         return len(self.lines)
 
 
 def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
-    """Sample P = floor(alpha*|V|) variety points (seeded shuffle of the
-    canonical point list); L = all q - sqrt(q) tangent lines at each.
+    """Sample P = floor(alpha*|V|) variety points (seeded shuffle of their
+    ids); L = all q - sqrt(q) tangent lines at each.
 
     Returns (family, report); the report carries exact projective counts
     (|L| = (q - sqrt(q))|P| after a distinctness assertion, |P(L)|, the
@@ -265,18 +278,11 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
     q = V.q
     r = _root_q(q)
     pg = proj_space(q, V.n)
-    order = list(V.points)
-    rng = random.Random(seed)
-    rng.shuffle(order)
-    nP = int(alpha * len(V.points))
-    P = order[:nP]
-    lines = []
-    for c in P:
-        tls = tangent_lines_at(V, c)
-        if len(tls) != q - r:
-            raise AssertionError(f"{len(tls)} tangent lines at {c}, not q - sqrt(q) = {q - r}")
-        lines += tls
-    ids = pg.ids(np.array(lines, dtype=np.int64).reshape(-1, q + 1, V.n + 1))
+    # the ids ascend as V.points does, so the shuffle permutes them alike
+    order = np.flatnonzero(V.mask).tolist()
+    random.Random(seed).shuffle(order)
+    P = order[:int(alpha * len(order))]
+    ids = tangent_lines_at(V, pg.array[P]).reshape(-1, q + 1)
     # two distinct lines share at most one point
     first_two = np.sort(ids[:, 0] * len(pg.array) + ids[:, 1])
     if (np.diff(first_two) == 0).any():
@@ -301,16 +307,13 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
     # ids below (q^n - 1)/(q - 1); a line's ids are sorted
     at_infinity = (q ** V.n - 1) // (q - 1)
 
-    fam = TangentLineFamily(
-        V, alpha.numerator, alpha.denominator, seed, P, lines
-    )
     report = {
         "q": q,
         "alpha": str(alpha),
         "seed": seed,
         "nV": len(V.points),
         "nP": len(P),
-        "nL": len(lines),
+        "nL": len(ids),
         "nL_expected": (q - r) * len(P),
         "covered_projective": int(covered.sum()),
         "uncovered_variety_points": uncovered_variety,
@@ -318,14 +321,14 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
         "nL_affine": int((ids[:, -1] >= at_infinity).sum()),
         "max_plane_occupancy": int(occupancy.max()),
     }
-    return fam, report
+    return TangentLineFamily(V, ids), report
 
 
 def affine_chart_family(family: TangentLineFamily) -> LineFamily:
     """The lines of a tangent-line family in PG(3,q) that leave the
     hyperplane x0 = 0, as lines of AG(3,q) through the x0 = 1 chart."""
     sp = affine_space(family.V.q, 3)
-    pts = np.array(family.lines, dtype=np.int64).reshape(-1, sp.q + 1, 4)
+    pts = proj_space(sp.q, 3).array[family.lines]
     # a line's points are normalized and sorted, so one that leaves x0 = 0
     # lists its point there first and then q points (1, a1, a2, a3)
     pts = pts[pts[:, 1, 0] == 1][:, 1:3, 1:]

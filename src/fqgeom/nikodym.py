@@ -355,14 +355,7 @@ def _hermitian_family(q: int, alpha, seed: int):
     r = isqrt(q)
     if r * r != q:
         raise GeneratorInfeasible(f"hermitian generator needs square q, got {q}")
-    p = None
-    for cand in range(2, r + 1):
-        if r % cand == 0:
-            p = cand if r == cand else None
-            break
-    if p is None:
-        raise GeneratorInfeasible(f"sqrt(q) = {r} must be prime for this generator")
-    V = build_hermitian(identity_hermitian(p, 3), 3)
+    V = build_hermitian(identity_hermitian(r, 3), 3)
     fam_proj, rep = build_tangent_line_family(V, alpha, seed)
     extra = {"alpha": str(Fraction(alpha)), "uncovered": rep["uncovered_variety_points"],
              "coveredProjective": rep["covered_projective"]}

@@ -317,7 +317,7 @@ def test_tangent_line_family(p):
     for seed in (1, 2, 3):
         fam, rep = build_tangent_line_family(V, Fraction(1, 2), seed=seed)
         assert rep["nL"] == (q - r) * rep["nP"]
-        assert len({ln[:2] for ln in fam.lines}) == rep["nL"]
+        assert len({tuple(ln[:2]) for ln in fam.lines}) == rep["nL"]
         assert rep["uncovered_variety_points"] == rep["nV"] - rep["nP"]
         assert "max_plane_occupancy" in rep  # reported only
     assert time.time() - start < 180

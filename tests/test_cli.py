@@ -79,6 +79,25 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # the parser is shared by every call in a process: one command's
+    # arguments must not reach the next command's config, and a bad flag
+    # still exits 2 without spoiling the calls after it
+    from fqgeom.cli import build_parser
+
+    assert build_parser() is build_parser()
+    pts = tmp_path / "k.pts"
+    assert run(["kakeya", "build", "--q", "3", "--out", str(pts)], capsys)[0] == 0
+    assert run(["kakeya", "verify", "--in", str(pts)], capsys)[0] == 0
+    code, out = run(["suite", "--max-q", "2", "--seed", "1"], capsys)
+    assert code == 0
+    assert "in" not in json.loads(out)["config"]
+    assert main(["kakeya", "verify", "--in", str(pts), "--bogus"]) == 2
+    code, out = run(["kakeya", "verify", "--in", str(pts)], capsys)
+    assert code == 0
+    assert set(json.loads(out)["config"]) == {"command", "format", "in", "report", "sub"}
+
+
 def test_kakeya_build_verify_roundtrip(tmp_path, capsys):
     pts = tmp_path / "k.pts"
     code, _ = run(["kakeya", "build", "--q", "5", "--out", str(pts)], capsys)
@@ -169,6 +188,14 @@ def test_hermitian_build(capsys):
     assert code == 0
     vals = json.loads(out)["rows"][0]["values"]
     assert vals["points"] == 9 == vals["formula"]
+
+
+def test_hermitian_build_composite_root(capsys):
+    # --p is r = sqrt(q), any prime power: r = 4 builds the surface over GF(16)
+    code, out = run(["hermitian", "build", "--p", "4", "--n", "3"], capsys)
+    assert code == 0
+    vals = json.loads(out)["rows"][0]["values"]
+    assert (vals["q"], vals["points"], vals["formula"], vals["rank"]) == (16, 1105, 1105, 4)
 
 
 def test_harness_records(tmp_path, capsys):
@@ -275,6 +302,12 @@ GOLDEN_OUTPUTS = {
     "harness_hermitian_q4_seed7.jsonl":
         ["nikodym", "harness", "--generator", "hermitian", "--q", "4",
          "--trials", "5", "--seed", "7"],
+    # GF(16), where sqrt(q) = 4 is not prime
+    "tangent_p4_alpha1-8_seed1.lines":
+        ["hermitian", "tangent-family", "--p", "4", "--alpha", "1/8", "--seed", "1"],
+    "harness_hermitian_q16_seed7.jsonl":
+        ["nikodym", "harness", "--generator", "hermitian", "--q", "16",
+         "--trials", "2", "--seed", "7"],
     "harness_conic_dual_q7_seed7.jsonl":
         ["nikodym", "harness", "--generator", "conic-dual", "--q", "7",
          "--trials", "1", "--seed", "7"],
@@ -332,6 +365,32 @@ def test_outputs_match_committed_files(name, tmp_path, capsys):
     assert proc.returncode == 0
     assert report_rows(proc.stdout) == rows
     assert (tmp_path / name).read_bytes() == golden
+
+
+def test_tangent_p4_lines_meet_variety_at_most_once():
+    # each pinned GF(16) line, read token by token, meets the affine chart
+    # 1 + N(x1) + N(x2) + N(x3) = 0 of the identity surface, N(x) = x^5,
+    # in at most one point, and no line is listed twice
+    from fqgeom.gf import field_of_order
+
+    ctx = field_of_order(16)
+
+    def code(tok):
+        return int(tok.replace("-", ""), 2)  # base-2 digits, high first
+
+    head, *rows = (DATA / "tangent_p4_alpha1-8_seed1.lines").read_text().splitlines()
+    assert head == "16 3 lines"
+    assert len(rows) == len(set(rows)) == 1650
+    for row in rows:
+        vals = [code(t) for t in row.split()]
+        d, b = vals[:3], vals[3:]
+        hits = 0
+        for t in range(16):
+            acc = 1
+            for di, bi in zip(d, b):
+                acc = ctx.add(acc, ctx.pow(ctx.add(bi, ctx.mul(t, di)), 5))
+            hits += acc == 0
+        assert hits <= 1, row
 
 
 def test_tangent_family_p5_matches_committed_rows(tmp_path, capsys):

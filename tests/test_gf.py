@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fqgeom.gf import (
     NonPrime,
     WrongDegree,
     field_of_order,
-    frobenius_conjugate,
     is_prime,
     make_field,
 )
@@ -108,7 +108,26 @@ def test_conjugation_is_involution_fixing_prime_subfield(p):
 def test_frobenius_helper():
     ctx = make_field(2, 2)
     for a in ctx.elements():
-        assert frobenius_conjugate(ctx, a) == ctx.pow(a, 2)
+        assert ctx.conj(a) == ctx.pow(a, 2)
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 64, 81])
+def test_conjugation_over_every_square_field(q):
+    # a -> a^r, r = sqrt(q), is an involutive automorphism of GF(r^2) that
+    # fixes exactly the r elements of GF(r), also for composite r
+    ctx = field_of_order(q)
+    r = isqrt(q)
+    conj = np.array([ctx.conj(a) for a in ctx.elements()])
+    assert (conj[conj] == np.arange(q)).all()
+    assert (conj[ctx.add_table] == ctx.add_table[conj[:, None], conj[None, :]]).all()
+    assert (conj[ctx.mul_table] == ctx.mul_table[conj[:, None], conj[None, :]]).all()
+    assert int((conj == np.arange(q)).sum()) == r
+
+
+@pytest.mark.parametrize("q", [7, 8, 27])
+def test_conjugation_needs_even_degree(q):
+    with pytest.raises(WrongDegree, match="even k"):
+        field_of_order(q).conj(1)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
