@@ -6,8 +6,8 @@ row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  A
 projective line is a sorted row of its q+1 point ids: ProjSpace.line_ids
 spans them in batches, ProjSpace.all_lines stacks every line, and
 ProjSpace.perp_lines gives the line orthogonal to n-1 independent rows
-from their kernel (linalg.nullspace): normals, planes through a line,
-lines of PG(2,q).
+from their kernel, one linalg.nullspace call for a whole stack of
+matrices: normals, planes through a line, lines of PG(2,q).
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant).  Directions are the
@@ -385,17 +385,19 @@ class ProjSpace:
     def perp_lines(self, rows) -> np.ndarray:
         """Sorted ids of the q+1 points x with r.x = 0 for every row r of
         each (n-1, n+1) matrix on the last two axes (other axes batch): the
-        line through the two vectors of the matrix's kernel.  ValueError
-        when a matrix's rows are dependent."""
+        line through the two vectors of the matrix's kernel, read from one
+        nullspace call on the whole stack.  ValueError when a matrix's rows
+        are dependent."""
         rows = np.asarray(rows, dtype=np.int64)
         shape = (self.n - 1, self.n + 1)
         if rows.shape[-2:] != shape:
             raise ValueError(f"perp_lines needs {shape} matrices, not {rows.shape[-2:]}")
-        kernels = [nullspace(m, self.ctx) for m in rows.reshape((-1,) + shape)]
-        if any(len(k) != 2 for k in kernels):
+        # n-1 rows have rank at most n-1, so a stack whose largest kernel
+        # has two rows is a stack of matrices of rank n-1
+        basis = nullspace(rows, self.ctx)
+        if basis.shape[-2] != 2:
             raise ValueError("rows are dependent: their kernel is not a line")
-        basis = np.array(kernels, dtype=np.int64).reshape(-1, 2, self.n + 1)
-        return self.line_ids(basis[:, 0], basis[:, 1]).reshape(rows.shape[:-2] + (self.q + 1,))
+        return self.line_ids(basis[..., 0, :], basis[..., 1, :])
 
     def hyperplane_points(self, coeffs):
         """Points x with c.x = 0 for the coefficient vector c, or for every

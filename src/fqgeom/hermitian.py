@@ -132,7 +132,7 @@ def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
     pg = proj_space(ctx.q, n)
     mask = ctx.dot(pg.array, H.apply_conj(pg.array)) == 0
     pts = [pg.points[i] for i in np.flatnonzero(mask)]
-    r = len(rref(H.entries, ctx)[1])
+    r = int(rref(H.entries, ctx)[1].sum())
     singular = []
     if r < n + 1:
         # c^T H = 0: c is orthogonal to every column of H, a kernel of

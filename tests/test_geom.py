@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fqgeom import geom
+from fqgeom import geom, linalg
 from fqgeom.geom import (
     LineFamily,
     PointSet,
@@ -240,17 +240,22 @@ def test_perp_lines_brute_force(q, n):
         return [i for i, x in enumerate(pg.points) if all(pg.ctx.dot(r, x) == 0 for r in m)]
 
     mats, expect = [], []
-    while len(mats) < 7:
+    # random matrices almost always pivot on the first columns; the last
+    # three have zero leading columns, so pivots differ within one stack
+    zero_cols = [0] * 7 + [1, 1, 2]
+    while len(mats) < len(zero_cols):
         m = rng.integers(0, q, size=(n - 1, n + 1))
+        m[:, :zero_cols[len(mats)]] = 0
         ids = perp(m)
         if len(ids) == q + 1:  # the rows are independent
             mats.append(m)
             expect.append(ids)
     mats, expect = np.array(mats), np.array(expect)
     assert pg.perp_lines(mats[0]).tolist() == expect[0].tolist()
+    assert pg.perp_lines(mats[-1]).tolist() == expect[-1].tolist()
     assert pg.perp_lines(mats[1:]).tolist() == expect[1:].tolist()
-    assert pg.perp_lines(mats[1:].reshape(2, 3, n - 1, n + 1)).tolist() == (
-        expect[1:].reshape(2, 3, q + 1).tolist())
+    assert pg.perp_lines(mats[4:].reshape(2, 3, n - 1, n + 1)).tolist() == (
+        expect[4:].reshape(2, 3, q + 1).tolist())
     assert pg.perp_lines(mats[:0]).shape == (0, q + 1)
     assert pg.perp_lines(mats[:0].reshape(3, 0, n - 1, n + 1)).shape == (3, 0, q + 1)
     # a zero row, or (at n = 3) two proportional rows, leave a larger kernel
@@ -263,6 +268,22 @@ def test_perp_lines_brute_force(q, n):
             pg.perp_lines(bad)
     with pytest.raises(ValueError, match="matrices"):
         pg.perp_lines(pg.array[:n])  # n rows, not n-1
+
+
+def test_perp_lines_eliminates_a_stack_in_one_call(monkeypatch):
+    # 100 matrices, one elimination: no Python loop over the matrices
+    pg = proj_space(5, 3)
+    calls = []
+    rref = linalg.rref
+
+    def counted(mat, ctx):
+        calls.append(np.shape(mat))
+        return rref(mat, ctx)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    mats = np.broadcast_to(np.eye(4, dtype=np.int64)[2:], (100, 2, 4))
+    assert pg.perp_lines(mats).shape == (100, 6)
+    assert calls == [(100, 2, 4)]
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 2), (9, 3), (2, 4)])

@@ -48,7 +48,8 @@ def test_elimination_matches_brute_force(q):
         before = mat.copy()
         cols = mat.shape[1]
         kernel = brute_kernel(ctx, mat)
-        red, pivots = rref(mat, ctx)
+        red, mask = rref(mat, ctx)
+        pivots = np.flatnonzero(mask).tolist()
         rank = len(pivots)
         assert np.array_equal(mat, before)
         # rank
@@ -98,10 +99,58 @@ def test_delayed_reduction_matches_gauss_jordan(p):
     rng = np.random.default_rng(p)
     low = (rng.integers(0, p, (60, 25)) @ rng.integers(0, p, (25, 40))) % p
     for mat in (rng.integers(0, p, (40, 60)), rng.integers(0, p, (60, 40)), low):
-        red, pivots = rref(mat, ctx)
+        red, mask = rref(mat, ctx)
         want, want_pivots = gauss_jordan(mat.tolist(), p)
-        assert pivots == want_pivots
+        assert np.flatnonzero(mask).tolist() == want_pivots
         assert red.tolist() == want
         kernel = nullspace(mat, ctx)
-        assert len(kernel) == mat.shape[1] - len(pivots)
+        assert len(kernel) == mat.shape[1] - len(want_pivots)
         assert not ((mat @ kernel.T) % p).any()
+    # a stack of full-rank and rank-deficient 12 x 16 matrices: the bound
+    # on the unreduced entries holds per matrix, whatever the others' ranks
+    stack = rng.integers(0, p, (6, 12, 16))
+    stack[1] = (rng.integers(0, p, (12, 5)) @ rng.integers(0, p, (5, 16))) % p
+    stack[2, :, :3] = 0
+    stack[3] = 0
+    red, mask = rref(stack, ctx)
+    kernels = nullspace(stack, ctx)
+    for mat, r, m, k in zip(stack, red, mask, kernels):
+        want, want_pivots = gauss_jordan(mat.tolist(), p)
+        assert r.tolist() == want
+        assert np.flatnonzero(m).tolist() == want_pivots
+        dim = mat.shape[1] - len(want_pivots)
+        assert not ((mat @ k[:dim].T) % p).any() and not k[dim:].any()
+
+
+@pytest.mark.parametrize("q", QS)
+def test_stack_matches_single_matrices(q):
+    """rref and nullspace of a stack, item by item, equal those of each
+    matrix alone; a stack mixes ranks and pivot columns, and an item with a
+    smaller kernel than the largest has zero rows after its basis."""
+    ctx = field_of_order(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in [(2, 4), (1, 3), (3, 3), (4, 2)]:
+        stack = rng.integers(0, q, (12, rows, cols))
+        stack[1, :, 0] = 0                  # a zero leading column
+        stack[2, :, :2] = 0
+        stack[3, -1] = stack[3, 0]          # a repeated row
+        stack[4] = 0                        # the zero matrix
+        stack[5, 0] = 0
+        before = stack.copy()
+        nested = stack.reshape(2, 6, rows, cols)
+        for mats in (stack, nested[:, :3], stack[:0], nested[:, :0]):
+            red, mask = rref(mats, ctx)
+            kernels = nullspace(mats, ctx)
+            assert red.shape == mats.shape and mask.shape == mats.shape[:-2] + (cols,)
+            flat = mats.reshape(-1, rows, cols)
+            dim = cols - min([rows, cols] + [np.count_nonzero(rref(m, ctx)[1]) for m in flat])
+            assert kernels.shape == mats.shape[:-2] + (dim, cols)
+            for i, m in enumerate(flat):
+                one, one_mask = rref(m, ctx)
+                kernel = nullspace(m, ctx)
+                assert np.array_equal(red.reshape(flat.shape)[i], one)
+                assert np.array_equal(mask.reshape(-1, cols)[i], one_mask)
+                got = kernels.reshape(-1, dim, cols)[i]
+                assert np.array_equal(got[:len(kernel)], kernel)
+                assert not got[len(kernel):].any()
+        assert np.array_equal(stack, before)
