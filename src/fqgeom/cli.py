@@ -213,12 +213,13 @@ def cmd_hermitian_build(args) -> dict:
 
     V = build_hermitian(identity_hermitian(args.p, args.n), args.n)
     expect = phi(args.n, args.p ** 2)
-    ok = V.non_degenerate and len(V.points) == expect
+    npoints = int(V.mask.sum())
+    ok = V.non_degenerate and npoints == expect
     return {"rows": [
         _row("hermitian-build",
              "identity-matrix variety point count matches the closed formula",
              "pass" if ok else "fail",
-             q=V.q, n=args.n, points=len(V.points), formula=expect, rank=V.rank),
+             q=V.q, n=args.n, points=npoints, formula=expect, rank=V.rank),
     ]}
 
 
@@ -299,6 +300,8 @@ def cmd_incidence_check(args) -> dict:
 def cmd_incidence_planes(args) -> dict:
     from .incidence import cover_fraction_check, generate_planes
 
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds} is not positive")
     rows = []
     count = args.k * args.q
     for s in range(args.seeds):
@@ -397,10 +400,10 @@ def cmd_suite(args) -> dict:
 
     if max_q >= 4:
         V = build_hermitian(identity_hermitian(2, 2), 2)
-        ok = len(V.points) == phi(2, 4) == 9
+        npoints = int(V.mask.sum())
         rows.append(_row("hermitian-count",
                          "plane variety point count matches the closed formula",
-                         "pass" if ok else "fail", points=len(V.points)))
+                         "pass" if npoints == phi(2, 4) == 9 else "fail", points=npoints))
 
     if max_q >= 5:
         _, rep = build_conic_dual_line_family(5)
@@ -529,7 +532,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         report = args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except AssertionError as e:

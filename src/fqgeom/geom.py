@@ -10,9 +10,11 @@ from their kernel, one linalg.nullspace call for a whole stack of
 matrices: normals, planes through a line, lines of PG(2,q).
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
-coordinate vector, coordinate 0 least significant).  Directions are the
-points of PG(n-1,q); a line is the pair (direction id, index of its least
-point), which makes dedup and cross-run ordering trivial.
+coordinate vector, coordinate 0 least significant), and
+AffineSpace.point_coords gives their coordinates as columns.  Directions
+are the points of PG(n-1,q), ids into AffineSpace.proj.array; a line is
+the pair (direction id, index of its least point), which makes dedup and
+cross-run ordering trivial.
 AffineSpace.line_points lists the points of any number of lines at once,
 and AffineSpace.line_planes the ids m*q + c of the planes m.x = c through
 them.
@@ -61,25 +63,8 @@ class AffineSpace:
         self.q = q
         self.n = n
         self.npoints = q ** n
-        self.directions = self.proj.points
-        self.ndirs = len(self.directions)  # (q^n - 1)/(q - 1)
+        self.ndirs = len(self.proj.array)  # (q^n - 1)/(q - 1)
         self.nlabels = q ** (n - 1)  # lines per direction
-
-    # -- coordinates --
-
-    def coords(self, idx: int):
-        q = self.q
-        out = []
-        for _ in range(self.n):
-            out.append(idx % q)
-            idx //= q
-        return tuple(out)
-
-    def index(self, coords) -> int:
-        idx = 0
-        for c in reversed(list(coords)):
-            idx = idx * self.q + c
-        return idx
 
     # -- lines --
 
@@ -343,11 +328,6 @@ class ProjSpace:
         packed = np.concatenate([np.arange(w, 2 * w) for w in self.weights[::-1]])
         self.array = packed[:, None] // self.weights % q
 
-    @cached_property
-    def points(self):
-        """The points as coordinate tuples, indexed by id."""
-        return list(map(tuple, self.array.tolist()))
-
     def ids(self, vecs) -> np.ndarray:
         """Ids of the points spanned by nonzero vectors on the last axis;
         ValueError on a zero vector."""
@@ -358,11 +338,6 @@ class ProjSpace:
         v = self.ctx.vmul(v, self.ctx.inv_table[np.take_along_axis(v, lead[..., None], -1)])
         top = self.weights[lead]
         return v @ self.weights - top + (top - 1) // (self.q - 1)
-
-    def normalize(self, vec):
-        """Scale a nonzero vector so its first nonzero coordinate is 1;
-        ValueError on the zero vector."""
-        return self.points[self.ids(vec)]
 
     def line_ids(self, u, v) -> np.ndarray:
         """Sorted ids of the q+1 points u - t*v (t in GF(q)) and v of the
@@ -399,11 +374,11 @@ class ProjSpace:
             raise ValueError("rows are dependent: their kernel is not a line")
         return self.line_ids(basis[..., 0, :], basis[..., 1, :])
 
-    def hyperplane_points(self, coeffs):
-        """Points x with c.x = 0 for the coefficient vector c, or for every
-        row c of a matrix."""
+    def hyperplane_points(self, coeffs) -> np.ndarray:
+        """Ascending ids of the points x with c.x = 0 for the coefficient
+        vector c, or for every row c of a matrix."""
         on = ~self.ctx.dot(self.array, np.atleast_2d(coeffs)[:, None, :]).any(axis=0)
-        return [self.points[i] for i in np.flatnonzero(on)]
+        return np.flatnonzero(on)
 
 
 @lru_cache(maxsize=None)
@@ -411,16 +386,16 @@ def proj_space(q: int, n: int) -> ProjSpace:
     return ProjSpace(q, n)
 
 
-def conic_dual_lines(q: int):
+def conic_dual_lines(q: int) -> np.ndarray:
     """The q+1 lines of PG(2,q) dual to the conic {(t, t^2, 1)} u {(0,1,0)}:
-    returned as normalized line-coefficient triples; no point lies on three
-    of them."""
+    a (q+1, 3) array of normalized line coefficients in id order; no point
+    lies on three of them."""
     if q < 3:
         raise UnsupportedField("conic dual needs q >= 3")
     pg = proj_space(q, 2)
     t = np.arange(q)
     ids = pg.ids(np.stack([t, pg.ctx.vmul(t, t), np.ones_like(t)], axis=1))
-    return sorted([pg.points[i] for i in ids.tolist()] + [(0, 1, 0)])
+    return pg.array[np.sort(np.append(ids, pg.ids([0, 1, 0])))]
 
 
 def max_line_coincidence(q: int, line_coeffs) -> int:

@@ -5,12 +5,13 @@ probe plane-occupancy behaviour of large line sets.
 
 The form x^T H conj(x) is evaluated over the whole point array of
 PG(n, q), conjugation being x -> x^r, and a variety keeps its membership
-mask over point ids.  A line is a sorted row of its q+1 point ids.
+mask over point ids and its singular points as ascending ids.  A line is
+a sorted row of its q+1 point ids.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -106,10 +107,9 @@ def random_hermitian(r: int, n: int, seed: int) -> HermitianMatrix:
 class HermitianVariety:
     H: HermitianMatrix
     n: int
-    points: list = field(default_factory=list)   # normalized tuples
-    rank: int = 0
-    singular_points: list = field(default_factory=list)
-    mask: np.ndarray = None  # membership, indexed by PG(n, q) point id
+    mask: np.ndarray  # membership, indexed by PG(n, q) point id
+    rank: int
+    singular: np.ndarray  # ascending ids of the singular points
 
     @property
     def q(self) -> int:
@@ -131,9 +131,8 @@ def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
     ctx = H.ctx
     pg = proj_space(ctx.q, n)
     mask = ctx.dot(pg.array, H.apply_conj(pg.array)) == 0
-    pts = [pg.points[i] for i in np.flatnonzero(mask)]
     r = int(rref(H.entries, ctx)[1].sum())
-    singular = []
+    singular = np.zeros(0, dtype=np.int64)
     if r < n + 1:
         # c^T H = 0: c is orthogonal to every column of H, a kernel of
         # dimension n+1-r
@@ -143,7 +142,7 @@ def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
             raise AssertionError(
                 f"{len(singular)} singular points; rank {r} needs {expected}"
             )
-    return HermitianVariety(H, n, pts, r, singular, mask)
+    return HermitianVariety(H, n, mask, r, singular)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,6 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
     q = V.q
     r = _root_q(q)
     pg = proj_space(q, V.n)
-    # the ids ascend as V.points does, so the shuffle permutes them alike
     order = np.flatnonzero(V.mask).tolist()
     random.Random(seed).shuffle(order)
     P = order[:int(alpha * len(order))]
@@ -293,9 +291,9 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
     # every point of V \ P must be uncovered: a line of L meets V only at
     # its base point, which lies in P (and is covered)
     uncovered_variety = int((V.mask & ~covered).sum())
-    if uncovered_variety != len(V.points) - len(P):
+    if uncovered_variety != len(order) - len(P):
         raise AssertionError(
-            f"{len(V.points) - len(P) - uncovered_variety} unsampled variety "
+            f"{len(order) - len(P) - uncovered_variety} unsampled variety "
             "points lie on a tangent line"
         )
 
@@ -311,7 +309,7 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
         "q": q,
         "alpha": str(alpha),
         "seed": seed,
-        "nV": len(V.points),
+        "nV": len(order),
         "nP": len(P),
         "nL": len(ids),
         "nL_expected": (q - r) * len(P),

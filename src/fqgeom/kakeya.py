@@ -39,12 +39,6 @@ class RetryExhausted(RuntimeError):
     pass
 
 
-class CountingNotInParadoxRegime(RuntimeError):
-    """The counting inequality of the fractional argument holds for this K:
-    interpolation is infeasible, which is the expected outcome when |K| is
-    as large as a true Kakeya set must be."""
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -144,19 +138,12 @@ def build_thin_kakeya_set(q: int) -> PointSet:
     if q % 2 == 0:
         raise EvenFieldUnsupported("construction needs odd q")
     sp = affine_space(q, 3)
-    inv2 = ctx.inv(2 % q)
-    vecs, bases = [], []
-    for b1 in range(q):
-        for b2 in range(q):
-            h1 = ctx.mul(inv2, b1)
-            h2 = ctx.mul(inv2, b2)
-            bases.append(sp.index((ctx.mul(h1, h1), ctx.mul(h2, h2), 0)))
-            vecs.append((b1, b2, 1))
-    dirs = sp.proj.ids(vecs).tolist()
-    for d, vec in enumerate(sp.directions):
-        if vec[2] == 0:
-            dirs.append(d)
-            bases.append(0)
+    # direction (b1, b2, 1) has its line based at ((b1/2)^2, (b2/2)^2, 0)
+    half_sq = ctx.mul_table.diagonal()[ctx.mul_table[ctx.inv(2 % q), np.arange(q)]]
+    b1, b2 = np.divmod(np.arange(q * q), q)
+    flat = np.flatnonzero(sp.proj.array[:, 2] == 0)
+    dirs = np.concatenate([sp.proj.ids(np.stack([b1, b2, np.ones_like(b1)], axis=1)), flat])
+    bases = np.concatenate([half_sq[b1] + q * half_sq[b2], np.zeros_like(flat)])
     K = PointSet(q, 3)
     K.mask[sp.line_points(dirs, bases)] = True
     return K
@@ -454,11 +441,11 @@ def fractional_pipeline(q: int, u: int, alpha, seed: int,
     g0 = homogeneous_top(g)
 
     sp = affine_space(q, 3)
+    dir_ids, bases = split_lines(check.lines.values())
     surviving = None
     g0_values = {}
-    for dir_id, line in check.lines.items():
-        a = sp.coords(line[1])
-        b = sp.directions[dir_id]
+    for dir_id, a, b in zip(dir_ids.tolist(), sp.point_coords(bases).T.tolist(),
+                            sp.proj.array[dir_ids].tolist()):
         f = restrict_to_line(g, a, b)
         g0_values[dir_id] = g0.evaluate(b)
         if f.is_zero():

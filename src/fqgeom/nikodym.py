@@ -312,6 +312,8 @@ def conjecture_harness(generator: str, q: int, trials: int, seed: int,
     families restricted to the affine chart).  Instances whose coverage
     ratio |P(L)|/q^3 falls below alarm_ratio are flagged, never asserted.
     """
+    if n_lines is not None and n_lines < 1:
+        raise GeneratorInfeasible(f"line count {n_lines} is not positive")
     sp = affine_space(q, 3)
     if n_lines is None:
         n_lines = int(q ** 2.5)

@@ -460,7 +460,7 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
     def unpack(S):
         if isinstance(S, PointSet):
             sp = affine_space(S.q, S.n)
-            return S.q, [sp.coords(int(i)) for i in S.indices()]
+            return S.q, list(map(tuple, sp.point_coords(S.indices()).T.tolist()))
         return q, [tuple(int(x) for x in pt) for pt in S or ()]
 
     q1, pts1 = unpack(S1)

@@ -287,13 +287,13 @@ def test_hermitian_counts(p):
     r = isqrt(q)
     for n in (2, 3):
         V = build_hermitian(identity_hermitian(p, n), n)
-        assert len(V.points) == phi(n, q)
+        assert V.mask.sum() == phi(n, q)
     V = build_hermitian(identity_hermitian(p, 3), 3)
     pg = proj_space(q, 3)
     assert degenerate_count(2, q, 2) == r ** 3 + q + 1
-    for c in V.points[:4]:
+    for c in pg.array[V.mask][:4]:
         w = tangent_space(V, c)
-        section = [x for x in pg.hyperplane_points(w) if V.contains(x)]
+        section = [x for x in pg.hyperplane_points(w) if V.mask[x]]
         assert len(section) == degenerate_count(2, q, 2)
         assert len(tangent_lines_at(V, c)) == q - r
     if q == 4:

@@ -134,6 +134,25 @@ def test_missing_file_exits_2(capsys):
     assert main(["kakeya", "verify", "--in", "/nonexistent.pts"]) == 2
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    # a directory given as the input file is a bad config, not a failed check
+    assert main(["kakeya", "verify", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nikodym", "harness", "--generator", "uniform", "--q", "3", "--seed", "1", "--lines", "-5"],
+    ["nikodym", "harness", "--generator", "plane-capped", "--q", "3", "--seed", "1",
+     "--lines", "0"],
+    ["incidence", "planes-cover", "--q", "3", "--k", "2", "--seeds", "0"],
+])
+def test_non_positive_count_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not positive" in captured.err
+
+
 def test_pipeline_reported_only(capsys):
     code, out = run(
         ["kakeya", "pipeline", "--q", "5", "--u", "1", "--alpha", "0.8",
@@ -261,6 +280,30 @@ def test_hermitian_build_too_large_exits_2():
     proc = run_optimized(["hermitian", "build", "--p", "31", "--n", "3"])
     assert proc.returncode == 2 and proc.stdout == b""
     assert b"over the limit" in proc.stderr
+
+
+_HWM_CHILD = """
+import contextlib, io, sys
+from fqgeom.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+# VmHWM is this process's own peak, which ru_maxrss is not: it carries
+# the peak of the process that forked it across exec
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, hwm)
+"""
+
+
+def test_hermitian_build_memory_bound():
+    """The Hermitian surface of PG(3,81), 538,084 points, builds under
+    130 MB peak RSS: it is a mask over point ids, and a coordinate tuple
+    per point of PG(3,81) would add about 40 MB."""
+    proc = python_optimized("-c", _HWM_CHILD, "hermitian", "build", "--p", "9", "--n", "3",
+                            check=True)
+    code, hwm_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert hwm_kb < 130 * 1024
 
 
 def test_kakeya_verify_too_large_space_exits_2(tmp_path):

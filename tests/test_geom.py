@@ -30,11 +30,11 @@ def test_line_points_structure(q):
     for d in range(sp.ndirs):
         pts = sp.line_points(d, 0)
         assert len(set(pts)) == q
-        vec = sp.directions[d]
+        vec = sp.proj.array[d].tolist()
         for t, p in enumerate(pts):
-            assert sp.coords(p) == tuple(
+            assert sp.point_coords([p])[:, 0].tolist() == [
                 sp.ctx.mul(t, v) for v in vec
-            )
+            ]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -50,8 +50,9 @@ def test_lines_through_point_count(q):
 
 def scalar_line(sp, d, p):
     """Points p + t*d, t = 0..q-1, from the scalar field operations."""
-    ctx, vec, x = sp.ctx, sp.directions[d], sp.coords(p)
-    return [sp.index([ctx.add(xi, ctx.mul(t, di)) for xi, di in zip(x, vec)])
+    ctx, vec, x = sp.ctx, sp.proj.array[d].tolist(), sp.point_coords([p])[:, 0].tolist()
+    return [sum(ctx.add(xi, ctx.mul(t, di)) * sp.q ** i
+                for i, (xi, di) in enumerate(zip(x, vec)))
             for t in range(sp.q)]
 
 
@@ -158,18 +159,18 @@ def test_max_plane_occupancy_matches_recount(q):
 
 
 def test_normalize_dir():
-    sp = affine_space(5, 3)
-    assert sp.proj.normalize((2, 4, 0)) == (1, 2, 0)
-    assert sp.proj.normalize((0, 3, 3)) == (0, 1, 1)
+    pg = affine_space(5, 3).proj
+    assert pg.array[pg.ids((2, 4, 0))].tolist() == [1, 2, 0]
+    assert pg.array[pg.ids((0, 3, 3))].tolist() == [0, 1, 1]
     for q in (5, 8, 9):
-        sp = affine_space(q, 3)
-        for vec in sp.directions:
-            assert sp.proj.normalize(vec) == vec
+        pg = affine_space(q, 3).proj
+        for d, vec in enumerate(pg.array.tolist()):
+            assert pg.ids(vec) == d
             # every nonzero multiple normalizes back to the direction
             for a in range(1, q):
-                assert sp.proj.normalize(tuple(sp.ctx.mul(a, x) for x in vec)) == vec
+                assert pg.ids([pg.ctx.mul(a, x) for x in vec]) == d
         with pytest.raises(ValueError):
-            sp.proj.normalize((0, 0, 0))
+            pg.ids((0, 0, 0))
 
 
 def test_pointset_basics():
@@ -205,10 +206,10 @@ def test_enumerate_lines_covers_space():
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 3), (8, 2), (9, 2), (8, 3)])
 def test_proj_space_counts(q, n):
     pg = proj_space(q, n)
-    assert len(pg.points) == (q ** (n + 1) - 1) // (q - 1)
+    assert len(pg.array) == (q ** (n + 1) - 1) // (q - 1)
     lines = pg.all_lines()
     if n == 2:
-        assert len(lines) == len(pg.points)
+        assert len(lines) == len(pg.array)
     if n == 3:
         assert len(lines) == (q * q + 1) * (q * q + q + 1)
     for ln in lines[:20]:
@@ -220,12 +221,12 @@ def test_proj_space_counts(q, n):
 def test_hyperplanes_through_line_brute_force(q, n):
     pg = proj_space(q, n)
     dot = pg.ctx.dot
-    npts = len(pg.points)
+    npts = len(pg.array)
     for i, j in {(0, 1), (0, npts - 1), (npts // 3, npts // 2), (npts - 2, npts - 1)}:
-        u, v = pg.points[i], pg.points[j]
-        expect = [c for c in pg.points if dot(c, u) == dot(c, v) == 0]
+        u, v = pg.array[i], pg.array[j]
+        expect = [c for c, x in enumerate(pg.array) if dot(x, u) == dot(x, v) == 0]
         assert len(expect) == (q ** (n - 1) - 1) // (q - 1)
-        assert pg.hyperplane_points([u, v]) == expect
+        assert pg.hyperplane_points([u, v]).tolist() == expect
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -237,7 +238,7 @@ def test_perp_lines_brute_force(q, n):
     rng = np.random.default_rng(10 * q + n)
 
     def perp(m):
-        return [i for i, x in enumerate(pg.points) if all(pg.ctx.dot(r, x) == 0 for r in m)]
+        return [i for i, x in enumerate(pg.array) if all(pg.ctx.dot(r, x) == 0 for r in m)]
 
     mats, expect = [], []
     # random matrices almost always pivot on the first columns; the last
@@ -352,14 +353,16 @@ def test_plane_methods_need_three_dimensions():
 
 def test_pg34_sizes():
     pg = proj_space(4, 3)
-    assert len(pg.points) == 85
+    assert len(pg.array) == 85
     assert len(pg.all_lines()) == 357
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_conic_dual_no_three_concurrent(q):
     duals = conic_dual_lines(q)
-    assert len(duals) == q + 1
+    assert duals.shape == (q + 1, 3)
+    # normalized rows in ascending id order, which is lexicographic order
+    assert (np.diff(proj_space(q, 2).ids(duals)) > 0).all()
     assert max_line_coincidence(q, duals) == 2
 
 

@@ -24,6 +24,11 @@ from fqgeom.hermitian import (
 )
 
 
+def _points(V):
+    """The variety's points as rows of coordinates, in id order."""
+    return proj_space(V.q, V.n).array[V.mask]
+
+
 def test_phi_values():
     assert phi(2, 4) == 9
     assert phi(3, 4) == 45
@@ -44,8 +49,8 @@ def test_identity_variety_matches_formula(p, n):
     # p is r = sqrt(q), a prime power: GF(16), GF(64) and GF(81) too
     V = build_hermitian(identity_hermitian(p, n), n)
     assert V.non_degenerate
-    assert len(V.points) == phi(n, p * p)
-    for x in V.points:
+    assert len(_points(V)) == phi(n, p * p)
+    for x in _points(V):
         assert V.contains(x)
 
 
@@ -56,9 +61,9 @@ def test_random_variety_counts(p, n, seed):
     V = build_hermitian(H, n)
     q = p * p
     if V.rank == 0:
-        assert len(V.points) == len(proj_space(q, n).points)
+        assert V.mask.sum() == len(proj_space(q, n).array)
     else:
-        assert len(V.points) == degenerate_count(n, q, V.rank)
+        assert V.mask.sum() == degenerate_count(n, q, V.rank)
 
 
 def test_not_hermitian_rejected():
@@ -74,8 +79,8 @@ def test_degenerate_rank2_curve():
     H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     V = build_hermitian(H, 2)
     assert V.rank == 2
-    assert len(V.points) == degenerate_count(2, 4, 2) == 13
-    assert V.singular_points == [(0, 0, 1)]
+    assert V.mask.sum() == degenerate_count(2, 4, 2) == 13
+    assert proj_space(4, 2).array[V.singular].tolist() == [[0, 0, 1]]
 
 
 def test_zero_matrix_everything_variety():
@@ -83,7 +88,7 @@ def test_zero_matrix_everything_variety():
     H = HermitianMatrix(ctx, tuple((0,) * 3 for _ in range(3)))
     V = build_hermitian(H, 2)
     assert V.rank == 0
-    assert len(V.points) == 21  # all of PG(2,4)
+    assert V.mask.sum() == 21  # all of PG(2,4)
 
 
 def test_classify_all_lines_pg34():
@@ -100,12 +105,12 @@ def test_line_through_singular_point_contained():
     ctx = identity_hermitian(2, 2).ctx
     H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     V = build_hermitian(H, 2)
-    c = V.singular_points[0]
     pg = proj_space(4, 2)
-    for d in V.points:
-        if d == c:
+    c = pg.array[V.singular[0]]
+    for i in np.flatnonzero(V.mask):
+        if i == V.singular[0]:
             continue
-        assert classify_line(V, pg.line_ids(c, d)) == "contained"
+        assert classify_line(V, pg.line_ids(c, pg.array[i])) == "contained"
 
 
 def test_tangent_space_structure():
@@ -113,16 +118,16 @@ def test_tangent_space_structure():
     V = build_hermitian(identity_hermitian(2, 3), 3)
     pg = proj_space(q, 3)
     r = isqrt(q)
-    for c in V.points[:6]:
+    for c in _points(V)[:6]:
         w = tangent_space(V, c)
         assert not isinstance(w, WholeSpace)
-        section = [x for x in pg.hyperplane_points(w) if V.contains(x)]
+        section = [x for x in pg.hyperplane_points(w) if V.mask[x]]
         assert len(section) == degenerate_count(2, q, 2) == 13
         # the section is r+1 lines through c
-        others = [x for x in section if x != c]
+        others = [x for x in section if x != pg.ids(c)]
         lines = set()
         for x in others:
-            ln = pg.line_ids(c, x)
+            ln = pg.line_ids(c, pg.array[x])
             assert classify_line(V, ln) == "contained"
             lines.add(tuple(ln[:2]))
         assert len(lines) == r + 1
@@ -149,9 +154,10 @@ def test_tangent_lines_at_brute_force(p, make):
     q = p * p
     V = _variety(p, make)
     pg = proj_space(q, 3)
-    for c in V.points[::len(V.points) // 4]:
+    pts = _points(V)
+    for c in pts[::len(pts) // 4]:
         i = int(pg.ids(c))
-        through = np.unique(pg.line_ids(np.array(c), np.delete(pg.array, i, axis=0)), axis=0)
+        through = np.unique(pg.line_ids(c, np.delete(pg.array, i, axis=0)), axis=0)
         assert len(through) == q * q + q + 1
         expect = through[V.mask[through].sum(axis=1) == 1]
         expect = expect[np.argsort([min(x for x in ln if x != i) for ln in expect.tolist()])]
@@ -163,7 +169,7 @@ def test_tangent_lines_at_brute_force(p, make):
 def test_tangent_lines_at_batch_matches_single_calls(r):
     V = _variety(r, "random")
     q = r * r
-    pts = np.array(V.points[::7])
+    pts = _points(V)[::7]
     one_by_one = np.stack([tangent_lines_at(V, c) for c in pts])
     assert np.array_equal(tangent_lines_at(V, pts), one_by_one)
     grid = pts[:6].reshape(2, 3, 4)
@@ -181,28 +187,30 @@ def test_tangent_space_of_singular_point():
     ctx = identity_hermitian(2, 2).ctx
     H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     V = build_hermitian(H, 2)
-    assert isinstance(tangent_space(V, V.singular_points[0]), WholeSpace)
+    assert isinstance(tangent_space(V, proj_space(4, 2).array[V.singular[0]]), WholeSpace)
 
 
 def test_tangent_space_rejects_point_off_variety():
     V = build_hermitian(identity_hermitian(2, 3), 3)
-    off = next(x for x in proj_space(4, 3).points if not V.contains(x))
+    off = next(tuple(x) for x in proj_space(4, 3).array.tolist() if not V.contains(x))
     with pytest.raises(ValueError):
         tangent_space(V, off)
     # tangent_lines_at names the point off V anywhere in a batch, same text
     with pytest.raises(ValueError, match=re.escape(f"requires a variety point, got {off}")):
-        tangent_lines_at(V, [V.points[0], off])
+        tangent_lines_at(V, [_points(V)[0], off])
 
 
 def test_tangent_lines_at_singular_point_raises():
     ctx = identity_hermitian(2, 2).ctx
     V = build_hermitian(HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0))), 2)
+    pg = proj_space(4, 2)
+    c = tuple(pg.array[V.singular[0]].tolist())
     with pytest.raises(ValueError):
-        tangent_lines_at(V, V.singular_points[0])
+        tangent_lines_at(V, c)
     # a singular point anywhere in a batch is named
-    c = V.singular_points[0]
+    others = np.flatnonzero(V.mask & (np.arange(len(pg.array)) != V.singular[0]))
     with pytest.raises(ValueError, match=re.escape(f"singular point {c} has no tangent lines")):
-        tangent_lines_at(V, [x for x in V.points if x != c] + [c])
+        tangent_lines_at(V, pg.array[np.append(others, V.singular[0])])
 
 
 def test_family_q4():
@@ -222,7 +230,7 @@ def test_family_claim_checks_fire(fault, monkeypatch):
     import fqgeom.hermitian as hm
 
     V = build_hermitian(identity_hermitian(2, 3), 3)
-    first = tangent_lines_at(V, V.points[0])
+    first = tangent_lines_at(V, _points(V)[0])
     meet_sizes = hm._meet_sizes
 
     def one_less_tangent(V, lines):

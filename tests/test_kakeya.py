@@ -9,7 +9,6 @@ import pytest
 
 from fqgeom.geom import PointSet, affine_space
 from fqgeom.kakeya import (
-    CountingNotInParadoxRegime,
     EvenFieldUnsupported,
     KakeyaWitness,
     MissingDirections,

@@ -182,8 +182,12 @@ def test_harness_generators():
 
 
 def test_harness_empty_family():
-    recs = conjecture_harness("uniform", 3, 1, seed=0, n_lines=0)
-    assert recs[0].n_covered == 0
+    # a count below 1 is refused before any draw: a negative one would
+    # slice the shuffled pool from its end, and 0 asks for no family
+    for n_lines in (0, -5):
+        for generator in ("uniform", "plane-capped"):
+            with pytest.raises(GeneratorInfeasible, match="not positive"):
+                conjecture_harness(generator, 3, 1, seed=0, n_lines=n_lines)
 
 
 def test_harness_infeasible():

@@ -116,7 +116,6 @@ def test_residue_set_matches_definition(q):
     """(x1, x2, t) with x1 + t^2 and x2 + t^2 squares, or t = 0, through
     scalar field operations."""
     ctx = field_of_order(q)
-    sp = affine_space(q, 3)
     squares = {ctx.mul(y, y) for y in ctx.elements()}
     want = PointSet(q, 3)
     for t in range(q):
@@ -124,7 +123,7 @@ def test_residue_set_matches_definition(q):
         good = [x for x in range(q) if t == 0 or ctx.add(x, t2) in squares]
         for x1 in good:
             for x2 in good:
-                want.add(sp.index((x1, x2, t)))
+                want.add(x1 + q * x2 + q * q * t)
     assert build_quadratic_residue_set(q) == want
 
 
