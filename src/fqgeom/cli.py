@@ -388,7 +388,7 @@ def cmd_suite(args) -> dict:
     mix_ok = True
     for _ in range(20):
         P = PointSet(q, 3, indices=rng.sample(range(q ** 3), rng.randint(0, q ** 3)))
-        L = LineFamily(sp, rng.sample(pool, rng.randint(0, len(pool))))
+        L = LineFamily(sp, pool[rng.sample(range(len(pool)), rng.randint(0, len(pool)))])
         try:
             mixing_discrepancy_check(P, L)
         except AssertionError:

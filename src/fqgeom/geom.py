@@ -13,8 +13,9 @@ Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant), and
 AffineSpace.point_coords gives their coordinates as columns.  Directions
 are the points of PG(n-1,q), ids into AffineSpace.proj.array; a line is
-the pair (direction id, index of its least point), which makes dedup and
-cross-run ordering trivial.
+the pair (direction id, index of its least point), and lines are (L, 2)
+int arrays of such rows, ascending when they come from all_lines,
+lines_in_plane or a LineFamily.
 AffineSpace.line_points lists the points of any number of lines at once,
 and AffineSpace.line_planes the ids m*q + c of the planes m.x = c through
 them.
@@ -137,24 +138,10 @@ class AffineSpace:
         np.minimum.at(bases, labels, np.arange(self.npoints))
         return bases
 
-    def canonical_line(self, dir_id: int, point_idx: int):
-        """The line through point_idx with the given direction, as
-        (dir_id, least point index on the line)."""
-        return dir_id, int(self.line_points(dir_id, point_idx).min())
-
-    def lines_through(self, point_idx: int):
-        """All canonical lines through a point (one per direction)."""
-        ids = np.arange(self.ndirs)
-        bases = self.line_points(ids, point_idx).min(axis=1)
-        return list(zip(ids.tolist(), bases.tolist()))
-
-    def all_lines(self):
-        """Every affine line exactly once, in canonical (dir, base) order."""
-        return [
-            (d, int(b))
-            for d in range(self.ndirs)
-            for b in np.sort(self.line_bases(self.line_labels([d])[0]))
-        ]
+    def all_lines(self) -> np.ndarray:
+        """Every affine line exactly once, as ascending (dir_id, base) rows."""
+        bases = [np.sort(self.line_bases(self.line_labels([d])[0])) for d in range(self.ndirs)]
+        return np.stack([np.arange(self.ndirs).repeat(self.nlabels), np.concatenate(bases)], axis=1)
 
     # -- planes (n = 3); a plane is (normal_dir_id, offset), its id m*q + c --
 
@@ -184,16 +171,16 @@ class AffineSpace:
         x = self.point_coords(np.arange(self.npoints)).T
         return np.flatnonzero(self.ctx.dot(x, self.proj.array[m]) == c).tolist()
 
-    def lines_in_plane(self, plane):
-        """The q(q+1) lines contained in a plane, canonical order: the plane's
-        q^2 points labelled for its q+1 directions at once; a line's base is
-        the first (least) plane point with its label."""
+    def lines_in_plane(self, plane) -> np.ndarray:
+        """The q(q+1) lines contained in a plane, as ascending (dir_id, base)
+        rows: the plane's q^2 points labelled for its q+1 directions at once;
+        a line's base is the first (least) plane point with its label."""
         dirs = self.normals[plane[0]]
         on_plane = np.array(self.plane_points(plane))
         labels = self.line_labels(dirs, self.point_coords(on_plane))
         keys = np.arange(len(dirs))[:, None] * self.nlabels + labels
         row, col = np.divmod(np.unique(keys, return_index=True)[1], len(on_plane))
-        return sorted(zip(dirs[row].tolist(), on_plane[col].tolist()))
+        return LineFamily(self, np.stack([dirs[row], on_plane[col]], axis=1)).lines
 
 
 @lru_cache(maxsize=None)
@@ -258,48 +245,37 @@ class PointSet:
 
 
 class LineFamily:
-    """A set of distinct affine lines; plane occupancy is counted on demand."""
+    """A set of distinct affine lines, held as the (L, 2) array lines of
+    their ascending (dir_id, base) rows; plane occupancy is counted on
+    demand."""
 
     def __init__(self, space: AffineSpace, lines=()):
         self.space = space
-        self._lines: set = set(lines)
-
-    def __contains__(self, line):
-        return line in self._lines
+        rows = np.asarray(lines if isinstance(lines, np.ndarray) else list(lines), dtype=np.int64)
+        rows = rows.reshape(-1, 2)
+        # dedup and order the packed keys dir * q^n + base in Python: np.unique
+        # imports numpy.ma, which would raise the peak RSS of runs that
+        # never sort
+        keys = sorted(set((rows[:, 0] * space.npoints + rows[:, 1]).tolist()))
+        self.lines = np.stack(np.divmod(np.array(keys, dtype=np.int64), space.npoints), axis=1)
 
     def __len__(self):
-        return len(self._lines)
-
-    def lines(self):
-        return sorted(self._lines)
+        return len(self.lines)
 
     def max_plane_occupancy(self):
         """(plane, count) with the largest member-line count, ties to the
         largest plane (m, c); (None, 0) for no lines or for AG(2,q)."""
         sp = self.space
-        if not self._lines or sp.n != 3:
+        if not len(self.lines) or sp.n != 3:
             return None, 0
-        counts = np.bincount(sp.line_planes(*split_lines(self._lines)).ravel())
+        counts = np.bincount(sp.line_planes(*self.lines.T).ravel())
         top = len(counts) - 1 - int(counts[::-1].argmax())  # the last largest id
         return divmod(top, sp.q), int(counts[top])
 
     def union_points(self) -> PointSet:
         s = PointSet(self.space.q, self.space.n)
-        s.mask[self.space.line_points(*split_lines(self._lines))] = True
+        s.mask[self.space.line_points(*self.lines.T)] = True
         return s
-
-
-def split_lines(lines):
-    """Direction ids and bases of (dir_id, base) pairs, as two int arrays
-    for AffineSpace.line_points."""
-    arr = np.array(list(lines), dtype=np.int64).reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
-
-
-def enumerate_lines(q: int, n: int = 3) -> LineFamily:
-    """All q^4+q^3+q^2 affine lines of AG(3,q) (or all lines of AG(2,q))."""
-    sp = affine_space(q, n)
-    return LineFamily(sp, sp.all_lines())
 
 
 # ---------------------------------------------------------------------------

@@ -332,4 +332,4 @@ def affine_chart_family(family: TangentLineFamily) -> LineFamily:
     pts = pts[pts[:, 1, 0] == 1][:, 1:3, 1:]
     dirs = sp.proj.ids(sp.ctx.vsubmul(pts[:, 0], 1, pts[:, 1]))
     bases = sp.line_points(dirs, pts[:, 0] @ sp.q ** np.arange(3)).min(axis=1)
-    return LineFamily(sp, zip(dirs.tolist(), bases.tolist()))
+    return LineFamily(sp, np.stack([dirs, bases], axis=1))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import LineFamily, MismatchedField, PointSet, affine_space, split_lines
+from .geom import LineFamily, MismatchedField, PointSet, affine_space
 
 
 class FieldTooLarge(ValueError):
@@ -49,9 +49,9 @@ class IncidenceStats:
 
     def __post_init__(self):
         q = self.q
-        assert self.incidences <= min(
-            self.n_points * (q * q + q + 1), self.n_lines * q
-        )
+        cap = min(self.n_points * (q * q + q + 1), self.n_lines * q)
+        if self.incidences > cap:
+            raise AssertionError(f"{self.incidences} incidences exceed the cap {cap}")
 
 
 def count_incidences(P: PointSet, L: LineFamily) -> IncidenceStats:
@@ -59,7 +59,7 @@ def count_incidences(P: PointSet, L: LineFamily) -> IncidenceStats:
     sp = L.space
     if P.q != sp.q or P.n != sp.n:
         raise MismatchedField(f"points over q={P.q},n={P.n}; lines over q={sp.q},n={sp.n}")
-    total = int(P.mask[sp.line_points(*split_lines(L.lines()))].sum())
+    total = int(P.mask[sp.line_points(*L.lines.T)].sum())
     return IncidenceStats(sp.q, len(P), len(L), total)
 
 
@@ -87,7 +87,7 @@ def incidence_matrix(q: int) -> np.ndarray:
     sp = affine_space(q, 3)
     lines = sp.all_lines()
     N = np.zeros((sp.npoints, len(lines)), dtype=np.int64)
-    N[sp.line_points(*split_lines(lines)), np.arange(len(lines))[:, None]] = 1
+    N[sp.line_points(*lines.T), np.arange(len(lines))[:, None]] = 1
     return N
 
 
@@ -224,8 +224,7 @@ def generate_planes(q: int, count: int, kind: str, seed: int = 0):
         return out
     if kind == "pencil":
         # planes through the line {t*(1,0,0)}, then spill into parallels
-        line = sp.canonical_line(int(sp.proj.ids((1, 0, 0))), 0)
-        pencil = [divmod(p, q) for p in sp.line_planes(*line).tolist()]
+        pencil = [divmod(p, q) for p in sp.line_planes(sp.proj.ids((1, 0, 0)), 0).tolist()]
         in_pencil = set(pencil)
         rest = [pl for pl in allp if pl not in in_pencil]
         out = (pencil + rest)[:count]
@@ -252,8 +251,8 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
         sp = lines.space
         if sp.n != 2 or sp.q != q:
             raise MismatchedField(f"lines over q={sp.q},n={sp.n}; need q={q},n=2")
-        members = lines.lines()
-        points = sp.line_points(*split_lines(members))
+        members = lines.lines
+        points = sp.line_points(*members.T)
     k = Fraction(len(members), q)
     if k <= 1:
         raise TooFewPlanes(f"need more than q objects, got {len(members)}")

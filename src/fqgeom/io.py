@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom import LineFamily, PointSet, affine_space, split_lines
+from .geom import LineFamily, PointSet, affine_space
 from .gf import field_of_order
 from .poly import MonomialBasis, MultiPoly
 
@@ -59,7 +59,7 @@ def save_pointset(pset: PointSet, path: str):
 
 def save_linefamily(fam: LineFamily, path: str):
     sp = fam.space
-    dirs, bases = split_lines(fam.lines())
+    dirs, bases = fam.lines.T
     rows = np.concatenate([sp.proj.array[dirs], sp.point_coords(bases).T], axis=1)
     _write_rows(path, f"{sp.q} {sp.n} lines", sp.q, rows)
 
@@ -114,7 +114,7 @@ def load_linefamily(path: str) -> LineFamily:
         rows = _read_rows(fh, sp.ctx, 2 * n, "line")
     dirs = sp.proj.ids(rows[:, :n])
     bases = sp.line_points(dirs, rows[:, n:] @ q ** np.arange(n)).min(axis=1)
-    return LineFamily(sp, zip(dirs.tolist(), bases.tolist()))
+    return LineFamily(sp, np.stack([dirs, bases], axis=1))
 
 
 def save_poly(g: MultiPoly, path: str):

@@ -18,7 +18,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .geom import PointSet, affine_space, split_lines
+from .geom import PointSet, affine_space
 from .poly import (
     DegreeCap,
     count_capped_monomials,
@@ -291,7 +291,8 @@ def sample_fractional_subset(K: PointSet, witness: KakeyaWitness, alpha,
     rng = random.Random(seed)
     kpts = K.indices()
     lines = list(witness.lines.values())
-    line_pts = sp.line_points(*split_lines(lines))  # (len(lines), q), t order
+    dirs, bases = np.array(lines, dtype=np.int64).reshape(-1, 2).T
+    line_pts = sp.line_points(dirs, bases)  # (len(lines), q), t order
     pts_lists = line_pts.tolist()
     through = {}  # point -> the witness lines through it
     for i, pts in enumerate(pts_lists):
@@ -441,7 +442,7 @@ def fractional_pipeline(q: int, u: int, alpha, seed: int,
     g0 = homogeneous_top(g)
 
     sp = affine_space(q, 3)
-    dir_ids, bases = split_lines(check.lines.values())
+    dir_ids, bases = np.array(list(check.lines.values())).T
     surviving = None
     g0_values = {}
     for dir_id, a, b in zip(dir_ids.tolist(), sp.point_coords(bases).T.tolist(),

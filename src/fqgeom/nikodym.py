@@ -20,16 +20,11 @@ from .geom import (
     affine_space,
     conic_dual_lines,
     max_line_coincidence,
-    split_lines,
 )
 from .incidence import count_incidences, mixing_bound_holds, mixing_incidence_bound
 
 
 class TooFewLines(ValueError):
-    pass
-
-
-class NotNikodym(ValueError):
     pass
 
 
@@ -142,7 +137,7 @@ def build_conic_dual_line_family(q: int, fraction=Fraction(62, 100)):
         raise AssertionError(f"{coincidence} conic-dual lines share a point")
     sp = affine_space(q, 3)
     planes = [(d, 0) for d in sp.proj.ids(duals).tolist()]
-    fam = LineFamily(sp, (ln for pl in planes for ln in sp.lines_in_plane(pl)))
+    fam = LineFamily(sp, np.concatenate([sp.lines_in_plane(pl) for pl in planes]))
     P = fam.union_points()
     nL_expected = k * q * (q + 1) - comb(k, 2)
     nP_expected = k * q * q - (q - 1) * comb(k, 2) - (k - 1)
@@ -218,16 +213,12 @@ def golden_ratio_threshold(tol: float = 1e-12) -> float:
     return root
 
 
-def nikodym_complement_bound_check(pset: PointSet) -> dict:
-    """For a verified Nikodym set: recount the witness incidences
+def nikodym_complement_bound_check(witness: NikodymWitness) -> dict:
+    """Recount the incidences of a Nikodym set with its witness lines
     (exactly (q-1)|complement|) and check the exact mixing bound on them
     (AssertionError); report the complement density against the threshold."""
-    res = verify_nikodym(pset)
-    if isinstance(res, FailingPoints):
-        raise NotNikodym(f"{len(res.points)} failing points")
-    q = pset.q
-    sp = affine_space(q, pset.n)
-    fam = LineFamily(sp, res.assignment.values())
+    pset, q = witness.pointset, witness.q
+    fam = LineFamily(affine_space(q, pset.n), witness.assignment.values())
     stats = count_incidences(pset, fam)
     if stats.incidences != (q - 1) * len(fam):
         raise AssertionError(f"{stats.incidences} witness incidences, not (q-1)*{len(fam)}")
@@ -283,20 +274,23 @@ def _random_family(sp, count, cap, rng) -> LineFamily:
     most cap lines; the planes of a block of count candidates come from one
     line_planes call."""
     pool = sp.all_lines()
-    rng.shuffle(pool)
+    order = list(range(len(pool)))
+    rng.shuffle(order)  # by index: shuffling the rows in place would alias them
+    pool = pool[order]
     lines = pool[:count]
     if cap is not None:
         occupancy = np.zeros(sp.ndirs * sp.q, dtype=np.int64)
-        lines, start = [], 0
-        while len(lines) < count and start < len(pool):
+        kept, start = [], 0
+        while len(kept) < count and start < len(pool):
             block = pool[start:start + count]
-            start += count
-            for ln, planes in zip(block, sp.line_planes(*split_lines(block))):
+            for i, planes in enumerate(sp.line_planes(*block.T), start):
                 if occupancy[planes].max() + 1 <= cap:
                     occupancy[planes] += 1
-                    lines.append(ln)
-                    if len(lines) == count:
+                    kept.append(i)
+                    if len(kept) == count:
                         break
+            start += count
+        lines = pool[kept]
     if len(lines) < count:
         raise GeneratorInfeasible(f"cap {cap} admits only {len(lines)} of {count} requested lines")
     return LineFamily(sp, lines)
@@ -314,6 +308,8 @@ def conjecture_harness(generator: str, q: int, trials: int, seed: int,
     """
     if n_lines is not None and n_lines < 1:
         raise GeneratorInfeasible(f"line count {n_lines} is not positive")
+    if trials < 1:
+        raise GeneratorInfeasible(f"trial count {trials} is not positive")
     sp = affine_space(q, 3)
     if n_lines is None:
         n_lines = int(q ** 2.5)

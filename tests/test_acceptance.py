@@ -174,7 +174,7 @@ def test_mixing_500_draws(q):
         nP = rng.randint(0, q ** 3)
         nL = rng.randint(0, min(len(pool), 120))
         P = PointSet(q, 3, indices=rng.sample(range(q ** 3), nP))
-        L = LineFamily(sp, rng.sample(pool, nL))
+        L = LineFamily(sp, pool[rng.sample(range(len(pool)), nL)])
         assert mixing_discrepancy_check(P, L)["holds"]
 
 

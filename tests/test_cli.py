@@ -146,6 +146,9 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     ["nikodym", "harness", "--generator", "plane-capped", "--q", "3", "--seed", "1",
      "--lines", "0"],
     ["incidence", "planes-cover", "--q", "3", "--k", "2", "--seeds", "0"],
+    ["nikodym", "harness", "--generator", "uniform", "--q", "3", "--seed", "1", "--trials", "0"],
+    ["nikodym", "harness", "--generator", "uniform", "--q", "3", "--seed", "1",
+     "--trials", "-2"],
 ])
 def test_non_positive_count_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -280,6 +283,41 @@ def test_hermitian_build_too_large_exits_2():
     proc = run_optimized(["hermitian", "build", "--p", "31", "--n", "3"])
     assert proc.returncode == 2 and proc.stdout == b""
     assert b"over the limit" in proc.stderr
+
+
+WORKLOAD_CALLS_SCRIPT = """
+import contextlib, io, json, sys
+from fractions import Fraction
+from fqgeom.cli import main
+from fqgeom.geom import LineFamily, PointSet, affine_space
+from fqgeom.incidence import mixing_discrepancy_check
+from fqgeom.io import load_pointset, save_pointset
+from fqgeom.kakeya import fractional_pipeline, verify_kakeya
+sp = affine_space(5, 3)
+save_pointset(PointSet(5, 3, range(10, 125)), "fm.pts")
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["kakeya", "build", "--q", "5", "--construction", "thin", "--out", "thin.pts"])
+    for path in ("thin.pts", "fm.pts"):
+        main(["kakeya", "verify", "--in", path])
+    main(["nikodym", "verify", "--in", "fm.pts", "--extract-witness", "w.json"])
+K = load_pointset("thin.pts")
+mixing_discrepancy_check(K, LineFamily(sp, verify_kakeya(K).lines.values()))
+with open("w.json") as fh:
+    assignment = json.load(fh)["assignment"]
+mixing_discrepancy_check(load_pointset("fm.pts"),
+                         LineFamily(sp, [tuple(v) for v in assignment.values()]))
+fractional_pipeline(9, 1, Fraction(1, 2), 1)
+print(sorted(m for m in ("numpy.ma",) if m in sys.modules))
+"""
+
+
+def test_workload_calls_leave_numpy_ma_unimported(tmp_path):
+    # the package calls of the benchmark's verify and pipeline workloads at
+    # small q; numpy.ma, which np.unique imports, would add 0.7 MB to their
+    # peak RSS, more than the benchmark's 0.1 MB bound
+    proc = python_optimized("-c", WORKLOAD_CALLS_SCRIPT, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == ["[]"]
 
 
 _HWM_CHILD = """
@@ -498,6 +536,7 @@ def test_kakeya_claim_checks_survive_optimize():
 
 
 NIKODYM_CHECKS_SCRIPT = """
+import numpy as np
 from fqgeom import nikodym
 from fqgeom.geom import LineFamily, MismatchedField, PointSet, affine_space
 from fqgeom.incidence import cover_fraction_check
@@ -510,11 +549,11 @@ except AssertionError as e:
     print("coplanar:", e)
 nikodym.mixing_bound_holds = lambda *args: False
 try:
-    nikodym.nikodym_complement_bound_check(PointSet(5, 3, range(1, 125)))
+    nikodym.nikodym_complement_bound_check(nikodym.verify_nikodym(PointSet(5, 3, range(1, 125))))
 except AssertionError as e:
     print("complement:", e)
 sp3 = affine_space(3, 3)
-L = LineFamily(sp3, sp3.lines_in_plane((0, 0)) + sp3.lines_in_plane((1, 0)))
+L = LineFamily(sp3, np.concatenate([sp3.lines_in_plane((0, 0)), sp3.lines_in_plane((1, 0))]))
 try:
     nikodym.union_lower_bound_check(L)
 except AssertionError as e:
@@ -546,9 +585,15 @@ sp = affine_space(3, 3)
 pieces = incidence._mixing_pieces
 incidence._mixing_pieces = lambda *args: pieces(*args)[:3] + (0,) + pieces(*args)[4:]
 try:
-    incidence.mixing_discrepancy_check(PointSet(3, 3, [0]), LineFamily(sp, sp.lines_through(0)))
+    # the lines through the origin, whose index 0 is each one's least point
+    incidence.mixing_discrepancy_check(PointSet(3, 3, [0]),
+                                       LineFamily(sp, [(d, 0) for d in range(sp.ndirs)]))
 except AssertionError as e:
     print("mixing:", e)
+try:
+    incidence.IncidenceStats(3, 1, 1, 4)
+except AssertionError as e:
+    print("stats:", e)
 geom.AffineSpace.plane_points = lambda self, plane: []
 try:
     incidence.cover_fraction_check(3, planes=sp.all_planes()[:6])
@@ -563,13 +608,15 @@ for r in (0, 5):
 
 
 def test_incidence_claim_checks_survive_optimize():
-    # a mixing inequality with a zero spectral radius, a plane family that
-    # covers nothing and a rank outside 1..n+1 are refused under `python -O`
-    # too, where an assert would be stripped
+    # a mixing inequality with a zero spectral radius, more incidences than
+    # the lines and points can hold, a plane family that covers nothing and a
+    # rank outside 1..n+1 are refused under `python -O` too, where an assert
+    # would be stripped
     proc = python_optimized("-c", INCIDENCE_CHECKS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
         "mixing: mixing inequality violated at q=3: lhs=0.03292181069958848, rhs=0.0",
+        "stats: 4 incidences exceed the cap 3",
         "cover: cover bound violated: 0 < 9.0",
         "rank: rank r = 0 outside 1..4",
         "rank: rank r = 5 outside 1..4",

@@ -9,7 +9,6 @@ from fqgeom.geom import (
     UnsupportedField,
     affine_space,
     conic_dual_lines,
-    enumerate_lines,
     max_line_coincidence,
     proj_space,
 )
@@ -20,8 +19,8 @@ def test_direction_and_line_counts(q, n):
     sp = affine_space(q, n)
     assert sp.ndirs == (q ** n - 1) // (q - 1)
     lines = sp.all_lines()
-    assert len(lines) == q ** (n - 1) * sp.ndirs
-    assert len(lines) == len(set(lines))
+    assert lines.shape == (q ** (n - 1) * sp.ndirs, 2)
+    assert len(lines) == len(set(map(tuple, lines.tolist())))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -41,7 +40,8 @@ def test_line_points_structure(q):
 def test_lines_through_point_count(q):
     sp = affine_space(q, 3)
     for p in (0, 1, q ** 3 - 1):
-        lines = sp.lines_through(p)
+        ids = np.arange(sp.ndirs)
+        lines = list(zip(ids.tolist(), sp.line_points(ids, p).min(axis=1).tolist()))
         assert len(lines) == q * q + q + 1
         assert len(set(lines)) == len(lines)
         for d, base in lines:
@@ -92,7 +92,7 @@ def test_planes(q):
 @pytest.mark.parametrize("q", [3, 4])
 def test_planes_through_line(q):
     sp = affine_space(q, 3)
-    line = sp.canonical_line(0, 0)
+    line = (0, 0)  # through the origin, its least point
     planes = [divmod(p, q) for p in sp.line_planes(*line).tolist()]
     assert len(set(planes)) == q + 1
     lp = set(sp.line_points(*line))
@@ -115,7 +115,7 @@ def test_line_planes_brute_force(q):
     member = plane_membership(sp)
     lines = sp.all_lines()
     lines = lines[:: max(1, len(lines) // 300)]
-    dirs, bases = geom.split_lines(lines)
+    dirs, bases = lines.T
     got = sp.line_planes(dirs, bases)
     assert got.shape == (len(lines), q + 1)
     holds = member[:, sp.line_points(dirs, bases)].all(axis=-1).T  # (lines, planes)
@@ -131,8 +131,7 @@ def recount_max_occupancy(fam):
     """(plane, count) by brute force over all planes, ties to the largest."""
     sp = fam.space
     member = plane_membership(sp)
-    lines = fam.lines()
-    counts = member[:, sp.line_points(*geom.split_lines(lines))].all(axis=-1).sum(axis=1)
+    counts = member[:, sp.line_points(*fam.lines.T)].all(axis=-1).sum(axis=1)
     return max(((int(n), divmod(pid, sp.q)) for pid, n in enumerate(counts)))[::-1]
 
 
@@ -152,7 +151,7 @@ def test_max_plane_occupancy_matches_recount(q):
     top = int(sp.line_planes(*line).max())
     assert LineFamily(sp, [line]).max_plane_occupancy() == (divmod(top, q), 1)
     # a tie between two planes of q(q+1) lines each
-    both = sp.lines_in_plane((0, 0)) + sp.lines_in_plane((0, q - 1))
+    both = np.concatenate([sp.lines_in_plane((0, 0)), sp.lines_in_plane((0, q - 1))])
     assert LineFamily(sp, both).max_plane_occupancy() == ((0, q - 1), q * (q + 1))
     assert LineFamily(sp).max_plane_occupancy() == (None, 0)
     assert LineFamily(affine_space(q, 2), [(0, 0)]).max_plane_occupancy() == (None, 0)
@@ -186,19 +185,25 @@ def test_pointset_basics():
 
 def test_linefamily_occupancy_matches_recount():
     sp = affine_space(3, 3)
-    fam = LineFamily(sp, sp.all_lines()[:40])
-    plane, occ = fam.max_plane_occupancy()
-    lines = set(fam.lines())
-    recount = max(
-        sum(1 for ln in sp.lines_in_plane(pl) if ln in lines)
-        for pl in sp.all_planes()
-    )
-    assert occ == recount
-    assert len(fam.union_points()) <= 3 * len(fam)
+    rows = sp.all_lines()[:40]
+    # shuffled rows with duplicates give the sorted distinct rows
+    shuffled = np.random.default_rng(3).permutation(np.concatenate([rows, rows[::3]]))
+    for given in (rows, shuffled):
+        fam = LineFamily(sp, given)
+        assert fam.lines.tolist() == rows.tolist()
+        plane, occ = fam.max_plane_occupancy()
+        lines = set(map(tuple, fam.lines.tolist()))
+        recount = max(
+            sum(1 for ln in sp.lines_in_plane(pl).tolist() if tuple(ln) in lines)
+            for pl in sp.all_planes()
+        )
+        assert occ == recount
+        assert len(fam.union_points()) <= 3 * len(fam)
 
 
 def test_enumerate_lines_covers_space():
-    fam = enumerate_lines(3)
+    sp = affine_space(3, 3)
+    fam = LineFamily(sp, sp.all_lines())
     assert len(fam) == 3 ** 4 + 3 ** 3 + 3 ** 2
     assert len(fam.union_points()) == 27
 

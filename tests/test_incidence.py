@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fqgeom.geom import LineFamily, MismatchedField, PointSet, affine_space, enumerate_lines
+from fqgeom.geom import LineFamily, MismatchedField, PointSet, affine_space
 from fqgeom.incidence import (
     FieldTooLarge,
     OutOfRange,
@@ -23,7 +23,8 @@ from fqgeom.incidence import (
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_count_incidences_totals(q):
-    fam = enumerate_lines(q)
+    sp = affine_space(q, 3)
+    fam = LineFamily(sp, sp.all_lines())
     stats = count_incidences(PointSet.full(q), fam)
     assert stats.incidences == q * n_lines(q)
     assert count_incidences(PointSet(q, 3), fam).incidences == 0
@@ -31,7 +32,7 @@ def test_count_incidences_totals(q):
 
 def test_count_incidences_single_line():
     sp = affine_space(3, 3)
-    ln = sp.canonical_line(0, 0)
+    ln = (0, 0)  # through the origin, its least point
     P = PointSet(3, 3, indices=sp.line_points(*ln))
     fam = LineFamily(sp, [ln])
     assert count_incidences(P, fam).incidences == 3
@@ -99,7 +100,7 @@ def test_bound_dominates_random_draws(q):
         nP = rng.randint(0, q ** 3)
         nL = rng.randint(0, min(60, len(pool)))
         P = PointSet(q, 3, indices=rng.sample(range(q ** 3), nP))
-        L = LineFamily(sp, rng.sample(pool, nL))
+        L = LineFamily(sp, pool[rng.sample(range(len(pool)), nL)])
         I = count_incidences(P, L).incidences
         assert mixing_bound_holds(I, nP, nL, q)
         assert I <= mixing_incidence_bound(nP, nL, q)["bound"] + 1e-9
@@ -112,7 +113,7 @@ def test_mixing_discrepancy_random(q):
     rng = random.Random(q)
     for _ in range(50):
         P = PointSet(q, 3, indices=rng.sample(range(q ** 3), rng.randint(0, q ** 3)))
-        L = LineFamily(sp, rng.sample(pool, rng.randint(0, min(len(pool), 80))))
+        L = LineFamily(sp, pool[rng.sample(range(len(pool)), rng.randint(0, min(len(pool), 80)))])
         rep = mixing_discrepancy_check(P, L)
         assert rep["holds"]
         assert rep["lhs_squared"] <= rep["rhs_squared"]

@@ -153,12 +153,12 @@ def test_verifiers_at_q32():
 def test_line_enumerations_match_scalar_lines(q):
     sp = affine_space(q, 3)
     lines = scalar_lines(q)
-    assert sp.all_lines() == sorted((d, b) for d in range(sp.ndirs) for b in lines[d])
+    assert sp.all_lines().tolist() == sorted([d, b] for d in range(sp.ndirs) for b in lines[d])
     for plane in sp.all_planes()[:: q + 1]:
         on_plane = set(sp.plane_points(plane))
-        want = sorted((d, b) for d in range(sp.ndirs)
+        want = sorted([d, b] for d in range(sp.ndirs)
                       for b, pts in lines[d].items() if set(pts) <= on_plane)
-        assert sp.lines_in_plane(plane) == want
+        assert sp.lines_in_plane(plane).tolist() == want
 
 
 @pytest.mark.parametrize("n", [2, 3])

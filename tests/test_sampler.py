@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fqgeom.geom import PointSet, affine_space, split_lines
+from fqgeom.geom import PointSet, affine_space
 from fqgeom.gf import (
     MILLER_RABIN_LIMIT,
     DegreeTooLarge,
@@ -34,7 +34,7 @@ def reference_sampler(K, witness, alpha, seed, retry_cap):
     rng = random.Random(seed)
     kpts = K.indices().tolist()
     lines = list(witness.lines.values())
-    line_pts = sp.line_points(*split_lines(lines))
+    line_pts = sp.line_points(*np.array(lines, dtype=np.int64).reshape(-1, 2).T)
     a = float(alpha)
     target = a * q
     inwin = [_within_window(c, alpha, q, q) for c in range(q + 1)]
