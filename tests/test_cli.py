@@ -415,6 +415,12 @@ GOLDEN_OUTPUTS = {
         ["kakeya", "pipeline", "--q", "13", "--u", "1", "--alpha", "4/5", "--seed", "1"],
     "pipeline_q9_u2_alpha1-3_seed1.json":
         ["kakeya", "pipeline", "--q", "9", "--u", "2", "--alpha", "1/3", "--seed", "1"],
+    # the covering bound for kq planes, one family per generator and seed
+    **{f"planes_cover_{gen}_q{q}_k{k}_seeds{seeds}_seed{seed}.json":
+       ["incidence", "planes-cover", "--q", q, "--k", k, "--gen", gen,
+        "--seeds", seeds, "--seed", seed]
+       for gen in ("pencil", "parallel", "random")
+       for q, k, seeds, seed in (("5", "2", "3", "5"), ("9", "3", "2", "1"))},
 }
 
 
