@@ -25,7 +25,8 @@ class ConfigError(ValueError):
 
 
 def _row(name: str, claim: str, status: str, **values) -> dict:
-    assert status in ("pass", "fail", "reported")
+    if status not in ("pass", "fail", "reported"):
+        raise AssertionError(f"row status {status!r} is not pass, fail or reported")
     return {"name": name, "claim": claim, "status": status, "values": values}
 
 

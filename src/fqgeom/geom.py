@@ -15,10 +15,15 @@ AffineSpace.point_coords gives their coordinates as columns.  Directions
 are the points of PG(n-1,q), ids into AffineSpace.proj.array; a line is
 the pair (direction id, index of its least point), and lines are (L, 2)
 int arrays of such rows, ascending when they come from all_lines,
-lines_in_plane or a LineFamily.
-AffineSpace.line_points lists the points of any number of lines at once,
-and AffineSpace.line_planes the ids m*q + c of the planes m.x = c through
-them.
+lines_in_plane or a LineFamily.  With m the last nonzero coordinate of
+the direction (AffineSpace.base_axis), the coordinates above m are
+constant along the line and x_m runs over the whole field, so the least
+point is the line's one point with x_m = 0.
+AffineSpace.line_points lists the points of any number of lines at once.
+A plane m.x = c of AG(3,q) (m a point of PG(2,q), c in GF(q)) is its id
+m*q + c: AffineSpace.line_planes gives the ids of the planes through
+lines, and plane_points and lines_in_plane build a plane's points and
+lines in closed form.
 """
 from __future__ import annotations
 
@@ -66,6 +71,8 @@ class AffineSpace:
         self.npoints = q ** n
         self.ndirs = len(self.proj.array)  # (q^n - 1)/(q - 1)
         self.nlabels = q ** (n - 1)  # lines per direction
+        # the last nonzero coordinate of each direction: 0 at a line's base
+        self.base_axis = n - 1 - (self.proj.array[:, ::-1] != 0).argmax(axis=1)
 
     # -- lines --
 
@@ -132,18 +139,16 @@ class AffineSpace:
             labels = np.add(labels, y, out=labels if labels.shape == y.shape else None)
         return labels.reshape(len(ids), -1)
 
-    def line_bases(self, labels: np.ndarray) -> np.ndarray:
-        """Least point index on each line, indexed by label."""
-        bases = np.full(self.nlabels, self.npoints)
-        np.minimum.at(bases, labels, np.arange(self.npoints))
-        return bases
-
     def all_lines(self) -> np.ndarray:
-        """Every affine line exactly once, as ascending (dir_id, base) rows."""
-        bases = [np.sort(self.line_bases(self.line_labels([d])[0])) for d in range(self.ndirs)]
-        return np.stack([np.arange(self.ndirs).repeat(self.nlabels), np.concatenate(bases)], axis=1)
+        """Every affine line exactly once, as ascending (dir_id, base) rows:
+        the bases of a direction are the q^(n-1) points with x_m = 0, m its
+        base_axis."""
+        coords = self.point_coords(np.arange(self.npoints))
+        zeros = np.stack([np.flatnonzero(x == 0) for x in coords])  # (n, nlabels)
+        return np.stack([np.arange(self.ndirs).repeat(self.nlabels),
+                         zeros[self.base_axis].ravel()], axis=1)
 
-    # -- planes (n = 3); a plane is (normal_dir_id, offset), its id m*q + c --
+    # -- planes (n = 3); the plane m.x = c is its id m*q + c --
 
     @cached_property
     def normals(self) -> np.ndarray:
@@ -161,26 +166,25 @@ class AffineSpace:
         x = np.asarray(bases, dtype=np.int64)[..., None] // self.q ** np.arange(3) % self.q
         return m * self.q + self.ctx.dot(self.proj.array[m], x[..., None, :])
 
-    def all_planes(self):
-        if self.n != 3:
-            raise UnsupportedField(f"planes need n = 3, not {self.n}")
-        return [(m, c) for m in range(self.ndirs) for c in range(self.q)]
+    def plane_points(self, planes) -> np.ndarray:
+        """Ascending indices of the q^2 points of each plane id: shape
+        (q^2,) for one id, (k, q^2) for k.  With m_i the leading 1 of m,
+        the plane m.x = c holds c*e_i, and two of its directions span it
+        from there."""
+        m, c = np.divmod(np.asarray(planes, dtype=np.int64), self.q)
+        u, v = np.moveaxis(self.normals[m][..., :2], -1, 0)
+        lead = (self.proj.array[m] != 0).argmax(axis=-1)
+        pts = self.line_points(v[..., None], self.line_points(u, c * self.q ** lead))
+        return np.sort(pts.reshape(*m.shape, self.q ** 2), axis=-1)
 
-    def plane_points(self, plane):
-        m, c = plane
-        x = self.point_coords(np.arange(self.npoints)).T
-        return np.flatnonzero(self.ctx.dot(x, self.proj.array[m]) == c).tolist()
-
-    def lines_in_plane(self, plane) -> np.ndarray:
+    def lines_in_plane(self, plane: int) -> np.ndarray:
         """The q(q+1) lines contained in a plane, as ascending (dir_id, base)
-        rows: the plane's q^2 points labelled for its q+1 directions at once;
-        a line's base is the first (least) plane point with its label."""
-        dirs = self.normals[plane[0]]
-        on_plane = np.array(self.plane_points(plane))
-        labels = self.line_labels(dirs, self.point_coords(on_plane))
-        keys = np.arange(len(dirs))[:, None] * self.nlabels + labels
-        row, col = np.divmod(np.unique(keys, return_index=True)[1], len(on_plane))
-        return LineFamily(self, np.stack([dirs[row], on_plane[col]], axis=1)).lines
+        rows: for each of its q+1 directions, the bases are the plane's
+        points with x_m = 0, m the direction's base_axis."""
+        dirs = self.normals[plane // self.q]
+        on_plane = self.plane_points(plane)
+        row, col = np.nonzero(self.point_coords(on_plane)[self.base_axis[dirs]] == 0)
+        return np.stack([dirs[row], on_plane[col]], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -263,14 +267,14 @@ class LineFamily:
         return len(self.lines)
 
     def max_plane_occupancy(self):
-        """(plane, count) with the largest member-line count, ties to the
-        largest plane (m, c); (None, 0) for no lines or for AG(2,q)."""
+        """(plane id, count) with the largest member-line count, ties to the
+        largest id; (None, 0) for no lines or for AG(2,q)."""
         sp = self.space
         if not len(self.lines) or sp.n != 3:
             return None, 0
         counts = np.bincount(sp.line_planes(*self.lines.T).ravel())
         top = len(counts) - 1 - int(counts[::-1].argmax())  # the last largest id
-        return divmod(top, sp.q), int(counts[top])
+        return top, int(counts[top])
 
     def union_points(self) -> PointSet:
         s = PointSet(self.space.q, self.space.n)

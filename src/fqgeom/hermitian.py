@@ -160,7 +160,8 @@ def phi(n: int, q: int) -> int:
     """Point count of a non-degenerate Hermitian variety in PG(n,q)."""
     r = _root_q(q)
     num = (r ** (n + 1) - (-1) ** (n + 1)) * (r ** n - (-1) ** n)
-    assert num % (q - 1) == 0
+    if num % (q - 1):
+        raise AssertionError(f"q - 1 = {q - 1} does not divide {num}")
     return num // (q - 1)
 
 
@@ -170,7 +171,8 @@ def degenerate_count(n: int, q: int, r: int) -> int:
     if not 1 <= r <= n + 1:
         raise ValueError(f"rank r = {r} outside 1..{n + 1}")
     t = q ** (n - r + 1) - 1
-    assert t % (q - 1) == 0
+    if t % (q - 1):
+        raise AssertionError(f"q - 1 = {q - 1} does not divide {t}")
     return t * phi(r - 1, q) + t // (q - 1) + phi(r - 1, q)
 
 

@@ -121,8 +121,9 @@ def incidence_spectrum(q: int, numeric: bool | None = None) -> SpectrumReport:
         evals = np.sort(evals)[::-1]
         rep.numeric_sigma1 = float(math.sqrt(max(evals[0], 0.0)))
         rep.numeric_sigma2 = float(math.sqrt(max(evals[1], 0.0)))
-        assert abs(rep.numeric_sigma1 - s1) < 1e-8
-        assert abs(rep.numeric_sigma2 - s2) < 1e-8
+        for got, want in ((rep.numeric_sigma1, s1), (rep.numeric_sigma2, s2)):
+            if not abs(got - want) < 1e-8:
+                raise AssertionError(f"numeric singular value {got} is not {want}")
     return rep
 
 
@@ -208,32 +209,25 @@ def mixing_discrepancy_check(P: PointSet, L: LineFamily) -> dict:
 # covering bounds for kq planes (or kq lines of the plane)
 # ---------------------------------------------------------------------------
 
-def generate_planes(q: int, count: int, kind: str, seed: int = 0):
-    """count distinct planes of AG(3,q): 'pencil' (all through one line),
-    'parallel' (common normal), or 'random' (seeded sample)."""
+def generate_planes(q: int, count: int, kind: str, seed: int = 0) -> np.ndarray:
+    """The ids of count distinct planes of AG(3,q): 'pencil' (all through
+    one line, then the rest in id order), 'parallel' (the first ids, which
+    share a normal), or 'random' (seeded sample)."""
     sp = affine_space(q, 3)
-    allp = sp.all_planes()
-    if count > len(allp):
-        raise OutOfRange(f"only {len(allp)} planes exist")
+    nplanes = sp.ndirs * q
+    if not 0 <= count <= nplanes:
+        raise OutOfRange(f"{count} planes requested; {nplanes} exist")
     if kind == "parallel":
-        out = []
-        for m, c in allp:
-            out.append((m, c))
-            if len(out) == count:
-                return out
-        return out
+        return np.arange(count)
     if kind == "pencil":
         # planes through the line {t*(1,0,0)}, then spill into parallels
-        pencil = [divmod(p, q) for p in sp.line_planes(sp.proj.ids((1, 0, 0)), 0).tolist()]
-        in_pencil = set(pencil)
-        rest = [pl for pl in allp if pl not in in_pencil]
-        out = (pencil + rest)[:count]
-        if len(out) < count:
-            raise OutOfRange("not enough planes")
-        return out
+        pencil = sp.line_planes(sp.proj.ids((1, 0, 0)), 0)
+        rest = np.ones(nplanes, dtype=bool)
+        rest[pencil] = False
+        return np.concatenate([pencil, np.flatnonzero(rest)])[:count]
     if kind == "random":
         rng = random.Random(seed)
-        return rng.sample(allp, count)
+        return np.array(rng.sample(range(nplanes), count), dtype=np.int64)
     raise ValueError(f"unknown plane generator {kind!r}")
 
 
@@ -245,8 +239,8 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
         raise ValueError("pass exactly one of planes / lines")
     if planes is not None:
         sp = affine_space(q, 3)
-        members = list(planes)
-        points = [p for pl in members for p in sp.plane_points(pl)]
+        members = np.asarray(planes, dtype=np.int64)
+        points = sp.plane_points(members)
     else:
         sp = lines.space
         if sp.n != 2 or sp.q != q:

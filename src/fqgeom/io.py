@@ -1,13 +1,10 @@
-"""Text formats for point sets, line families, and polynomials.
+"""Text formats for point sets and line families.
 
 Point/line files: header `q n kind`, then one row per element with field
 elements written as base-p digit tokens (digits of the element code, most
 significant first, joined by '-' for extension fields).  A point row has
 n tokens; a line row has 2n tokens (direction vector, then base point).
 Round trips are bit-exact.
-
-Polynomial files: header `q n`, then one monomial per row as
-`coeff e1 ... en`.
 """
 from __future__ import annotations
 
@@ -17,7 +14,6 @@ import numpy as np
 
 from .geom import LineFamily, PointSet, affine_space
 from .gf import field_of_order
-from .poly import MonomialBasis, MultiPoly
 
 
 class FormatError(ValueError):
@@ -115,37 +111,3 @@ def load_linefamily(path: str) -> LineFamily:
     dirs = sp.proj.ids(rows[:, :n])
     bases = sp.line_points(dirs, rows[:, n:] @ q ** np.arange(n)).min(axis=1)
     return LineFamily(sp, np.stack([dirs, bases], axis=1))
-
-
-def save_poly(g: MultiPoly, path: str):
-    with open(path, "w") as fh:
-        fh.write(f"{g.basis.q} {g.basis.n}\n")
-        for e, c in g.support():
-            fh.write(f"{c} " + " ".join(str(x) for x in e) + "\n")
-
-
-def load_poly(path: str, m) -> MultiPoly:
-    """Load a polynomial into the capped basis given by m (a number or
-    DegreeCap); coefficients are element codes of GF(q)."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 2:
-            raise FormatError("polynomial header must be 'q n'")
-        q, n = int(head[0]), int(head[1])
-        basis = MonomialBasis(n, q, m)
-        ctx = field_of_order(q)
-        coeffs = [0] * len(basis)
-        for line in fh:
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != n + 1:
-                raise FormatError(f"monomial row needs {n + 1} tokens: {line!r}")
-            c = int(toks[0])
-            e = tuple(int(t) for t in toks[1:])
-            if not 0 <= c < ctx.q:
-                raise FormatError(f"coefficient {c} outside GF({q})")
-            if e not in basis.index:
-                raise FormatError(f"exponent {e} outside the degree cap")
-            coeffs[basis.index[e]] = c
-        return MultiPoly(basis, coeffs, ctx)

@@ -204,7 +204,8 @@ def optimize_fractional_bound(tol: float = 1e-12):
         return -(4 * m ** 3 - 13 * m ** 2 + 12 * m - 3)
 
     lo, hi = 1.5, 2.0
-    assert dnum(lo) > 0 and dnum(hi) < 0
+    if not dnum(lo) > 0 > dnum(hi):
+        raise AssertionError(f"the u=1 derivative does not change sign on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if dnum(mid) > 0:
@@ -226,7 +227,8 @@ def optimize_fractional_bound(tol: float = 1e-12):
         m_star, coeff = m1, c1
     else:
         m_star, coeff = m2, c2
-    assert coeff > 5 / 24
+    if not coeff > 5 / 24:
+        raise AssertionError(f"fractional optimum {coeff} does not beat 5/24")
     return m_star, coeff, {"u1": (m1, c1), "u2": (m2, c2)}
 
 

@@ -136,7 +136,7 @@ def build_conic_dual_line_family(q: int, fraction=Fraction(62, 100)):
     if coincidence > 2:
         raise AssertionError(f"{coincidence} conic-dual lines share a point")
     sp = affine_space(q, 3)
-    planes = [(d, 0) for d in sp.proj.ids(duals).tolist()]
+    planes = sp.proj.ids(duals) * q
     fam = LineFamily(sp, np.concatenate([sp.lines_in_plane(pl) for pl in planes]))
     P = fam.union_points()
     nL_expected = k * q * (q + 1) - comb(k, 2)
@@ -201,7 +201,8 @@ def golden_ratio_threshold(tol: float = 1e-12) -> float:
         return (1 - x) + sqrt(1 - x) - 1
 
     lo, hi = 0.5, 0.7
-    assert f(lo) > 0 > f(hi)
+    if not f(lo) > 0 > f(hi):
+        raise AssertionError(f"(1-x) + sqrt(1-x) - 1 does not change sign on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if f(mid) > 0:
@@ -209,7 +210,8 @@ def golden_ratio_threshold(tol: float = 1e-12) -> float:
         else:
             hi = mid
     root = (lo + hi) / 2
-    assert abs(root - 0.6180339887) < 1e-8
+    if not abs(root - 0.6180339887) < 1e-8:
+        raise AssertionError(f"root {root} is not the golden ratio (sqrt(5)-1)/2")
     return root
 
 

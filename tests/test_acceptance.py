@@ -220,7 +220,7 @@ def _nikodym_battery(q):
 
         cases.append((f"minus-{i + 1}", s, None))  # decided by the checker
     for i in range(6):
-        pl = sp.all_planes()[rng.randrange(len(sp.all_planes()))]
+        pl = rng.randrange(sp.ndirs * q)
         cases.append((f"slab-{i}", PointSet(q, 3, indices=sp.plane_points(pl)),
                       False))
     for i in range(6):

@@ -517,7 +517,8 @@ def test_pipeline_benchmark_caps_match_committed_output(capsys):
 
 
 CLAIM_CHECKS_SCRIPT = """
-from fqgeom import kakeya
+from fractions import Fraction
+from fqgeom import cli, kakeya
 kakeya.verify_kakeya = lambda K: kakeya.MissingDirections(K.q, [0])
 try:
     kakeya.fractional_pipeline(5, 1, "1/2", 1)
@@ -527,17 +528,30 @@ try:
     kakeya.integer_multiplicity_bound(5, 3, 0)
 except ValueError as e:
     print("bound:", e)
+kakeya.fractional_coefficient = lambda m, u=1: Fraction(0)
+try:
+    kakeya.optimize_fractional_bound()
+except AssertionError as e:
+    print("optimum:", e)
+try:
+    cli._row("kakeya-verify", "a claim", "passed")
+except AssertionError as e:
+    print("row:", e)
 """
 
 
 def test_kakeya_claim_checks_survive_optimize():
-    # a construction that fails verification and a multiplicity below 1 are
-    # refused under `python -O` too, where an assert would be stripped
+    # a construction that fails verification, a multiplicity below 1, a
+    # fractional optimum that does not beat 5/24 and a report row with an
+    # unknown status are refused under `python -O` too, where an assert
+    # would be stripped
     proc = python_optimized("-c", CLAIM_CHECKS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
         "pipeline: qr construction failed verification at q = 5",
         "bound: multiplicity m = 0 must be at least 1",
+        "optimum: fractional optimum 0.0 does not beat 5/24",
+        "row: row status 'passed' is not pass, fail or reported",
     ]
 
 
@@ -548,7 +562,7 @@ from fqgeom.geom import LineFamily, MismatchedField, PointSet, affine_space
 from fqgeom.incidence import cover_fraction_check
 sp = affine_space(5, 3)
 witness = nikodym.verify_nikodym(PointSet.full(5))
-LineFamily.max_plane_occupancy = lambda self: ((0, 0), 100)
+LineFamily.max_plane_occupancy = lambda self: (0, 100)
 try:
     nikodym.coplanar_line_bound_check(witness)
 except AssertionError as e:
@@ -559,7 +573,7 @@ try:
 except AssertionError as e:
     print("complement:", e)
 sp3 = affine_space(3, 3)
-L = LineFamily(sp3, np.concatenate([sp3.lines_in_plane((0, 0)), sp3.lines_in_plane((1, 0))]))
+L = LineFamily(sp3, np.concatenate([sp3.lines_in_plane(0), sp3.lines_in_plane(3)]))
 try:
     nikodym.union_lower_bound_check(L)
 except AssertionError as e:
@@ -568,23 +582,31 @@ try:
     cover_fraction_check(5, lines=LineFamily(sp, sp.all_lines()[:10]))
 except MismatchedField as e:
     print("cover:", e)
+nikodym.sqrt = lambda x: 0.0
+try:
+    nikodym.golden_ratio_threshold()
+except AssertionError as e:
+    print("golden:", e)
 """
 
 
 def test_nikodym_claim_checks_survive_optimize():
-    # a plane over the coplanar bound, a broken mixing bound and a family
-    # over the wrong space are refused under `python -O` too
+    # a plane over the coplanar bound, a broken mixing bound, a family over
+    # the wrong space and a threshold equation without a root in [0.5, 0.7]
+    # are refused under `python -O` too
     proc = python_optimized("-c", NIKODYM_CHECKS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
-        "coplanar: plane (0, 0) holds 100 lines > bound 17.180",
+        "coplanar: plane 0 holds 100 lines > bound 17.180",
         "complement: 4 witness incidences break the mixing bound",
         "union: union of 15 points is below the mixing bound 27",
         "cover: lines over q=5,n=3; need q=5,n=2",
+        "golden: (1-x) + sqrt(1-x) - 1 does not change sign on [0.5, 0.7]",
     ]
 
 
 INCIDENCE_CHECKS_SCRIPT = """
+import numpy as np
 from fqgeom import geom, hermitian, incidence
 from fqgeom.geom import LineFamily, PointSet, affine_space
 sp = affine_space(3, 3)
@@ -602,7 +624,7 @@ except AssertionError as e:
     print("stats:", e)
 geom.AffineSpace.plane_points = lambda self, plane: []
 try:
-    incidence.cover_fraction_check(3, planes=sp.all_planes()[:6])
+    incidence.cover_fraction_check(3, planes=range(6))
 except AssertionError as e:
     print("cover:", e)
 for r in (0, 5):
@@ -610,14 +632,25 @@ for r in (0, 5):
         hermitian.degenerate_count(3, 4, r)
     except ValueError as e:
         print("rank:", e)
+incidence.incidence_matrix = lambda q: np.eye(q ** 3, dtype=np.int64)
+try:
+    incidence.incidence_spectrum(3)
+except AssertionError as e:
+    print("spectrum:", e)
+hermitian._root_q = lambda q: 2
+try:
+    hermitian.phi(1, 5)
+except AssertionError as e:
+    print("phi:", e)
 """
 
 
 def test_incidence_claim_checks_survive_optimize():
     # a mixing inequality with a zero spectral radius, more incidences than
-    # the lines and points can hold, a plane family that covers nothing and a
-    # rank outside 1..n+1 are refused under `python -O` too, where an assert
-    # would be stripped
+    # the lines and points can hold, a plane family that covers nothing, a
+    # rank outside 1..n+1, a numeric spectrum off the closed form and a
+    # Hermitian count that is not an integer are refused under `python -O`
+    # too, where an assert would be stripped
     proc = python_optimized("-c", INCIDENCE_CHECKS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
@@ -626,4 +659,6 @@ def test_incidence_claim_checks_survive_optimize():
         "cover: cover bound violated: 0 < 9.0",
         "rank: rank r = 0 outside 1..4",
         "rank: rank r = 5 outside 1..4",
+        "spectrum: numeric singular value 1.0 is not 6.244997998398398",
+        "phi: q - 1 = 4 does not divide 9",
     ]

@@ -77,10 +77,11 @@ def test_line_table_matches_scalar_path(q):
 @pytest.mark.parametrize("q", [3, 5])
 def test_planes(q):
     sp = affine_space(q, 3)
-    planes = sp.all_planes()
+    planes = np.arange(sp.ndirs * q)
     assert len(planes) == (q * q + q + 1) * q
+    assert sp.plane_points(planes).shape == (len(planes), q * q)
     pl = planes[0]
-    pts = sp.plane_points(pl)
+    pts = sp.plane_points(pl).tolist()
     assert len(pts) == q * q
     lines = sp.lines_in_plane(pl)
     assert len(lines) == q * (q + 1)
@@ -93,19 +94,19 @@ def test_planes(q):
 def test_planes_through_line(q):
     sp = affine_space(q, 3)
     line = (0, 0)  # through the origin, its least point
-    planes = [divmod(p, q) for p in sp.line_planes(*line).tolist()]
+    planes = sp.line_planes(*line).tolist()
     assert len(set(planes)) == q + 1
-    lp = set(sp.line_points(*line))
+    lp = set(sp.line_points(*line).tolist())
     for pl in planes:
-        assert lp <= set(sp.plane_points(pl))
+        assert lp <= set(sp.plane_points(pl).tolist())
 
 
 def plane_membership(sp):
-    """Bool (planes, points) matrix from plane_points, rows by id m*q + c."""
-    member = np.zeros((sp.ndirs * sp.q, sp.npoints), dtype=bool)
-    for m, c in sp.all_planes():
-        member[m * sp.q + c, sp.plane_points((m, c))] = True
-    return member
+    """Bool (planes, points) matrix of the dot scan m.x = c, rows by id
+    m*q + c."""
+    x = sp.point_coords(np.arange(sp.npoints)).T
+    dots = sp.ctx.dot(sp.proj.array[:, None, :], x)  # (normals, points)
+    return (dots[:, None, :] == np.arange(sp.q)[:, None]).reshape(-1, sp.npoints)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -113,6 +114,9 @@ def test_line_planes_brute_force(q):
     # a plane id is returned iff the plane holds the whole line
     sp = affine_space(q, 3)
     member = plane_membership(sp)
+    # plane_points of every id lists the dot scan's points, ascending
+    got = sp.plane_points(np.arange(sp.ndirs * q))
+    assert got.tolist() == [np.flatnonzero(row).tolist() for row in member]
     lines = sp.all_lines()
     lines = lines[:: max(1, len(lines) // 300)]
     dirs, bases = lines.T
@@ -132,7 +136,7 @@ def recount_max_occupancy(fam):
     sp = fam.space
     member = plane_membership(sp)
     counts = member[:, sp.line_points(*fam.lines.T)].all(axis=-1).sum(axis=1)
-    return max(((int(n), divmod(pid, sp.q)) for pid, n in enumerate(counts)))[::-1]
+    return max(((int(n), pid) for pid, n in enumerate(counts)))[::-1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -145,14 +149,14 @@ def test_max_plane_occupancy_matches_recount(q):
         fam = LineFamily(sp, [lines[i] for i in pick])
         plane, occ = fam.max_plane_occupancy()
         assert (plane, occ) == recount_max_occupancy(fam)
-        assert type(occ) is int and all(type(x) is int for x in plane)
+        assert type(occ) is int and type(plane) is int
     # a tie: one line puts 1 in each of its q+1 planes, and the largest wins
     line = lines[len(lines) // 2]
     top = int(sp.line_planes(*line).max())
-    assert LineFamily(sp, [line]).max_plane_occupancy() == (divmod(top, q), 1)
+    assert LineFamily(sp, [line]).max_plane_occupancy() == (top, 1)
     # a tie between two planes of q(q+1) lines each
-    both = np.concatenate([sp.lines_in_plane((0, 0)), sp.lines_in_plane((0, q - 1))])
-    assert LineFamily(sp, both).max_plane_occupancy() == ((0, q - 1), q * (q + 1))
+    both = np.concatenate([sp.lines_in_plane(0), sp.lines_in_plane(q - 1)])
+    assert LineFamily(sp, both).max_plane_occupancy() == (q - 1, q * (q + 1))
     assert LineFamily(sp).max_plane_occupancy() == (None, 0)
     assert LineFamily(affine_space(q, 2), [(0, 0)]).max_plane_occupancy() == (None, 0)
 
@@ -195,7 +199,7 @@ def test_linefamily_occupancy_matches_recount():
         lines = set(map(tuple, fam.lines.tolist()))
         recount = max(
             sum(1 for ln in sp.lines_in_plane(pl).tolist() if tuple(ln) in lines)
-            for pl in sp.all_planes()
+            for pl in range(sp.ndirs * sp.q)
         )
         assert occ == recount
         assert len(fam.union_points()) <= 3 * len(fam)
@@ -350,8 +354,8 @@ def test_shear_table_is_bounded():
 def test_plane_methods_need_three_dimensions():
     sp = affine_space(5, 2)
     line = sp.all_lines()[0]
-    for call in (sp.all_planes, lambda: sp.line_planes(*line),
-                 lambda: sp.lines_in_plane((0, 0))):
+    for call in (lambda: sp.plane_points(0), lambda: sp.line_planes(*line),
+                 lambda: sp.lines_in_plane(0)):
         with pytest.raises(UnsupportedField, match="n = 3"):
             call()
 

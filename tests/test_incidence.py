@@ -122,9 +122,8 @@ def test_mixing_discrepancy_random(q):
 def test_mixing_discrepancy_structured():
     q = 3
     sp = affine_space(q, 3)
-    pl = sp.all_planes()[0]
-    P = PointSet(q, 3, indices=sp.plane_points(pl))
-    L = LineFamily(sp, sp.lines_in_plane(pl))
+    P = PointSet(q, 3, indices=sp.plane_points(0))
+    L = LineFamily(sp, sp.lines_in_plane(0))
     rep = mixing_discrepancy_check(P, L)
     assert rep["holds"]
 
@@ -166,3 +165,7 @@ def test_cover_too_few():
     planes = generate_planes(q, q, "random", seed=0)
     with pytest.raises(TooFewPlanes):
         cover_fraction_check(q, planes=planes)
+    # a negative count (the CLI's --k below 0) names no family of planes
+    for kind in ("pencil", "parallel", "random"):
+        with pytest.raises(OutOfRange):
+            generate_planes(q, -q, kind)

@@ -7,12 +7,9 @@ from fqgeom.io import (
     FormatError,
     load_linefamily,
     load_pointset,
-    load_poly,
     save_linefamily,
     save_pointset,
-    save_poly,
 )
-from fqgeom.poly import MonomialBasis, MultiPoly
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (5, 2), (4, 3), (9, 3)])
@@ -100,15 +97,6 @@ def test_empty_files_load_empty(tmp_path):
     assert load_pointset(str(path)) == PointSet(5, 3)
     path.write_text("4 3 lines\n\n")
     assert len(load_linefamily(str(path))) == 0
-
-
-def test_poly_roundtrip(tmp_path):
-    basis = MonomialBasis(3, 3, 2)
-    g = MultiPoly.from_dict(basis, {(1, 1, 0): 2, (0, 0, 0): 1})
-    path = tmp_path / "g.poly"
-    save_poly(g, str(path))
-    back = load_poly(str(path), 2)
-    assert back.support() == g.support()
 
 
 def test_format_errors(tmp_path):

@@ -154,8 +154,8 @@ def test_line_enumerations_match_scalar_lines(q):
     sp = affine_space(q, 3)
     lines = scalar_lines(q)
     assert sp.all_lines().tolist() == sorted([d, b] for d in range(sp.ndirs) for b in lines[d])
-    for plane in sp.all_planes()[:: q + 1]:
-        on_plane = set(sp.plane_points(plane))
+    for plane in range(0, sp.ndirs * q, q + 1):
+        on_plane = set(sp.plane_points(plane).tolist())
         want = sorted([d, b] for d in range(sp.ndirs)
                       for b, pts in lines[d].items() if set(pts) <= on_plane)
         assert sp.lines_in_plane(plane).tolist() == want

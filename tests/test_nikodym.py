@@ -67,7 +67,7 @@ def test_planar_slab_not_nikodym_for_far_points():
     # a single plane can't serve points far outside it at q=3
     q = 3
     sp = affine_space(q, 3)
-    s = PointSet(q, 3, indices=sp.plane_points(sp.all_planes()[0]))
+    s = PointSet(q, 3, indices=sp.plane_points(0))
     res = verify_nikodym(s)
     assert isinstance(res, FailingPoints)
     assert res.points
