@@ -220,7 +220,7 @@ def generate_planes(q: int, count: int, kind: str, seed: int = 0) -> np.ndarray:
     if kind == "parallel":
         return np.arange(count)
     if kind == "pencil":
-        # planes through the line {t*(1,0,0)}, then spill into parallels
+        # the planes through the line {t*(1,0,0)}, then the others in id order
         pencil = sp.line_planes(sp.proj.ids((1, 0, 0)), 0)
         rest = np.ones(nplanes, dtype=bool)
         rest[pencil] = False
