@@ -79,18 +79,21 @@ def cmd_poly_count(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_kakeya_build(args) -> dict:
+    from . import kakeya
     from .io import save_pointset
-    from .kakeya import build_quadratic_residue_set, build_thin_kakeya_set
 
-    build = {"qr": build_quadratic_residue_set, "thin": build_thin_kakeya_set}
+    build = {"qr": kakeya.build_quadratic_residue_set, "thin": kakeya.build_thin_kakeya_set}
     if args.construction not in build:
         raise ConfigError(f"unknown construction {args.construction!r}")
-    K = build[args.construction](args.q)
+    q = args.q
+    K = build[args.construction](q)
     if args.out:
         save_pointset(K, args.out)
+    # both constructions build the residue set, of exact size qr_set_size
+    holds = len(K) == kakeya.qr_set_size(q)
     return {"rows": [
         _row("kakeya-build", "construction yields a point set of the stated exact size",
-             "pass", q=args.q, construction=args.construction, size=len(K)),
+             "pass" if holds else "fail", q=q, construction=args.construction, size=len(K)),
     ]}
 
 

@@ -4,10 +4,10 @@ PG(n,q) is an (N, n+1) array of normalized coordinate vectors (first
 nonzero coordinate 1) in lexicographic order, and a point's id is its
 row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  A
 projective line is a sorted row of its q+1 point ids: ProjSpace.line_ids
-spans them in batches, ProjSpace.all_lines stacks every line, and
-ProjSpace.perp_lines gives the line orthogonal to n-1 independent rows
-from their kernel, one linalg.nullspace call for a whole stack of
-matrices: normals, planes through a line, lines of PG(2,q).
+spans them in batches, and ProjSpace.perp_lines gives the line
+orthogonal to n-1 independent rows from their kernel, one
+linalg.nullspace call for a whole stack of matrices: normals, planes
+through a line, lines of PG(2,q).
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant), and
@@ -212,34 +212,14 @@ class PointSet:
         s.mask = np.asarray(mask, dtype=bool).copy()
         return s
 
-    def add(self, idx: int):
-        self.mask[idx] = True
-
     def discard(self, idx: int):
         self.mask[idx] = False
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.mask[idx])
 
     def __len__(self) -> int:
         return int(self.mask.sum())
 
     def indices(self):
         return np.nonzero(self.mask)[0]
-
-    def complement(self) -> "PointSet":
-        return PointSet.from_mask(self.q, self.n, ~self.mask)
-
-    def copy(self) -> "PointSet":
-        return PointSet.from_mask(self.q, self.n, self.mask)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointSet)
-            and self.q == other.q
-            and self.n == other.n
-            and bool(np.array_equal(self.mask, other.mask))
-        )
 
     @classmethod
     def full(cls, q, n=3):
@@ -329,14 +309,6 @@ class ProjSpace:
         w = np.concatenate([w, np.broadcast_to(v, w[..., :1, :].shape)], axis=-2)
         return np.sort(self.ids(w), axis=-1)
 
-    def all_lines(self) -> np.ndarray:
-        """Every projective line once, as ascending rows of sorted point
-        ids: each is spanned by a point of x0 = 0 (the first
-        (q^n - 1)/(q - 1) ids) and a point of larger id."""
-        m = (self.q ** self.n - 1) // (self.q - 1)
-        i, j = np.nonzero(np.triu(np.ones((m, len(self.array)), dtype=bool), 1))
-        return np.unique(self.line_ids(self.array[i], self.array[j]), axis=0)
-
     def perp_lines(self, rows) -> np.ndarray:
         """Sorted ids of the q+1 points x with r.x = 0 for every row r of
         each (n-1, n+1) matrix on the last two axes (other axes batch): the
@@ -353,12 +325,6 @@ class ProjSpace:
         if basis.shape[-2] != 2:
             raise ValueError("rows are dependent: their kernel is not a line")
         return self.line_ids(basis[..., 0, :], basis[..., 1, :])
-
-    def hyperplane_points(self, coeffs) -> np.ndarray:
-        """Ascending ids of the points x with c.x = 0 for the coefficient
-        vector c, or for every row c of a matrix."""
-        on = ~self.ctx.dot(self.array, np.atleast_2d(coeffs)[:, None, :]).any(axis=0)
-        return np.flatnonzero(on)
 
 
 @lru_cache(maxsize=None)

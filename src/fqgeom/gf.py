@@ -162,9 +162,6 @@ class FieldCtx:
             a = a * self.p + (c % self.p)
         return a
 
-    def elements(self):
-        return range(self.q)
-
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
@@ -179,12 +176,6 @@ class FieldCtx:
             a, b = a // self.p, b // self.p
             mul *= self.p
         return out
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
@@ -264,9 +255,6 @@ class FieldCtx:
         self.add_table, self.mul_table, self.pow_table = add, mul, pw
         self.neg_table = np.argmax(add == 0, axis=1)
         self.inv_table = inv
-
-    def __repr__(self):
-        return f"FieldCtx(p={self.p}, k={self.k})"
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,11 @@
 """Hermitian varieties in PG(n, q) for square q = r^2, r any prime power:
-construction and point enumeration, rank and singular space, line
-classification, tangent spaces, and the tangent-line families used to
-probe plane-occupancy behaviour of large line sets.
+construction, point enumeration and rank, and the tangent-line families
+used to probe plane-occupancy behaviour of large line sets.
 
 The form x^T H conj(x) is evaluated over the whole point array of
 PG(n, q), conjugation being x -> x^r, and a variety keeps its membership
-mask over point ids and its singular points as ascending ids.  A line is
-a sorted row of its q+1 point ids.
+mask over point ids.  A line is a sorted row of its q+1 point ids, and
+_meet_sizes counts the variety's points on any number of lines at once.
 """
 from __future__ import annotations
 
@@ -35,13 +34,6 @@ class InternalClassificationError(AssertionError):
 
 class AlphaOutOfRange(ValueError):
     pass
-
-
-class WholeSpace:
-    """Tangent-space result at a singular point: every point qualifies."""
-
-    def __repr__(self):
-        return "WholeSpace()"
 
 
 # ---------------------------------------------------------------------------
@@ -87,29 +79,12 @@ def identity_hermitian(r: int, n: int) -> HermitianMatrix:
     return HermitianMatrix(ctx, rows)
 
 
-def random_hermitian(r: int, n: int, seed: int) -> HermitianMatrix:
-    """Uniform Hermitian matrix: random upper triangle over GF(r^2),
-    diagonal restricted to the fixed field GF(r) of conjugation."""
-    ctx = field_of_order(r * r)
-    rng = random.Random(seed)
-    size = n + 1
-    fixed = [a for a in ctx.elements() if ctx.conj(a) == a]
-    m = [[0] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = rng.choice(fixed)
-        for j in range(i + 1, size):
-            m[i][j] = rng.randrange(ctx.q)
-            m[j][i] = ctx.conj(m[i][j])
-    return HermitianMatrix(ctx, tuple(tuple(r) for r in m))
-
-
 @dataclass
 class HermitianVariety:
     H: HermitianMatrix
     n: int
     mask: np.ndarray  # membership, indexed by PG(n, q) point id
     rank: int
-    singular: np.ndarray  # ascending ids of the singular points
 
     @property
     def q(self) -> int:
@@ -119,30 +94,16 @@ class HermitianVariety:
     def non_degenerate(self) -> bool:
         return self.rank == self.n + 1
 
-    def contains(self, x) -> bool:
-        return bool(self.mask[proj_space(self.q, self.n).ids(x)])
-
 
 def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
-    """Enumerate the variety {x in PG(n,q) : x^T H conj(x) = 0}, its rank,
-    and (when degenerate) the singular space {c : c^T H = 0}."""
+    """Enumerate the variety {x in PG(n,q) : x^T H conj(x) = 0} and its
+    rank."""
     if H.size != n + 1:
         raise NotHermitian(f"matrix size {H.size} does not match n = {n}")
     ctx = H.ctx
     pg = proj_space(ctx.q, n)
     mask = ctx.dot(pg.array, H.apply_conj(pg.array)) == 0
-    r = int(rref(H.entries, ctx)[1].sum())
-    singular = np.zeros(0, dtype=np.int64)
-    if r < n + 1:
-        # c^T H = 0: c is orthogonal to every column of H, a kernel of
-        # dimension n+1-r
-        singular = pg.hyperplane_points(np.array(H.entries).T)
-        expected = (ctx.q ** (n + 1 - r) - 1) // (ctx.q - 1)
-        if len(singular) != expected:
-            raise AssertionError(
-                f"{len(singular)} singular points; rank {r} needs {expected}"
-            )
-    return HermitianVariety(H, n, mask, r, singular)
+    return HermitianVariety(H, n, mask, int(rref(H.entries, ctx)[1].sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +126,6 @@ def phi(n: int, q: int) -> int:
     return num // (q - 1)
 
 
-def degenerate_count(n: int, q: int, r: int) -> int:
-    """Point count of a rank-r Hermitian variety in PG(n,q), 1 <= r <= n+1:
-    (q^{n-r+1}-1)*phi(r-1,q) + (q^{n-r+1}-1)/(q-1) + phi(r-1,q)."""
-    if not 1 <= r <= n + 1:
-        raise ValueError(f"rank r = {r} outside 1..{n + 1}")
-    t = q ** (n - r + 1) - 1
-    if t % (q - 1):
-        raise AssertionError(f"q - 1 = {q - 1} does not divide {t}")
-    return t * phi(r - 1, q) + t // (q - 1) + phi(r - 1, q)
-
-
 # ---------------------------------------------------------------------------
 # lines and tangency
 # ---------------------------------------------------------------------------
@@ -192,25 +142,6 @@ def _meet_sizes(V: HermitianVariety, lines) -> np.ndarray:
             f"(allowed: 1, {r + 1}, {q + 1})"
         )
     return sizes
-
-
-def classify_line(V: HermitianVariety, line) -> str:
-    """'tangent' (1 point), 'secant' (sqrt(q)+1), or 'contained' (q+1) for
-    a row of point ids; anything else raises InternalClassificationError."""
-    size = _meet_sizes(V, np.asarray(line, dtype=np.int64)[None])[0]
-    return {1: "tangent", _root_q(V.q) + 1: "secant", V.q + 1: "contained"}[size]
-
-
-def tangent_space(V: HermitianVariety, c):
-    """Coefficient vector of the tangent hyperplane {x : x^T H conj(c) = 0}
-    at a non-singular point c of V, or WholeSpace() at a singular point;
-    ValueError when c is not on V."""
-    if not V.contains(c):
-        raise ValueError(f"tangent space requires a variety point, got {c}")
-    w = V.H.apply_conj(c)
-    if not w.any():
-        return WholeSpace()
-    return tuple(w.tolist())
 
 
 def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
@@ -255,9 +186,6 @@ def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
 class TangentLineFamily:
     V: HermitianVariety
     lines: np.ndarray  # (|L|, q+1) sorted point ids
-
-    def __len__(self):
-        return len(self.lines)
 
 
 def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):

@@ -133,7 +133,10 @@ def qr_set_size(q: int) -> int:
 def build_thin_kakeya_set(q: int) -> PointSet:
     """A minimal-style Kakeya set: one line per direction (the lines the
     quadratic-residue construction uses, plus lines through the origin in
-    the t = 0 plane).  Size is at most q(q^2+q+1)."""
+    the t = 0 plane).  It is the residue set built as a union of lines, of
+    size qr_set_size(q): for t != 0, as b runs over F_q so does b/2 + t,
+    so x = (b/2)^2 + t*b = (b/2 + t)^2 - t^2 runs over the x with x + t^2
+    a square, and the lines through the origin fill the plane t = 0."""
     ctx = field_of_order(q)
     if q % 2 == 0:
         raise EvenFieldUnsupported("construction needs odd q")
@@ -160,15 +163,6 @@ def integer_multiplicity_bound(q: int, n: int = 3, m: int = 2) -> int:
     N = count_capped_monomials(n, q, Fraction(m))
     b = comb(m + n - 1, n)
     return -(-N // b)
-
-
-def leading_term_Nq3(m) -> Fraction:
-    """Exact leading q^3 coefficient of N_q(3,m): (-2m^3+9m^2-9m+3)/6,
-    valid for 1 <= m <= 2."""
-    m = Fraction(m)
-    if not 1 <= m <= 2:
-        raise ValueError("leading-term formula applies for 1 <= m <= 2")
-    return (-2 * m ** 3 + 9 * m ** 2 - 9 * m + 3) / 6
 
 
 def fractional_coefficient(m, u: int = 1) -> Fraction:
@@ -414,7 +408,7 @@ def fractional_pipeline(q: int, u: int, alpha, seed: int,
         S = PointSet(q, 3)
         report.detail["sample"] = {"size": 0, "attempts": 0}
     elif alpha == 1:
-        S = K.copy()
+        S = PointSet.from_mask(q, 3, K.mask)
         report.detail["sample"] = {"size": len(K), "attempts": 0}
     else:
         try:

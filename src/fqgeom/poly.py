@@ -85,11 +85,6 @@ class DegreeCap:
     def value(self, q: int) -> float:
         return float(self.a) + float(self.b) * q ** (-1 / 3)
 
-    def __repr__(self):
-        if self.b == 0:
-            return f"DegreeCap({self.a})"
-        return f"DegreeCap({self.a} + ({self.b})*q^(-1/3))"
-
 
 def _as_cap(m) -> DegreeCap:
     return m if isinstance(m, DegreeCap) else DegreeCap(Fraction(m))
@@ -140,7 +135,6 @@ class MonomialBasis:
         self.q = q
         self.cap = _as_cap(m)
         self.exponents = list(_basis_exponents(n, q, self.cap.a, self.cap.b))
-        self.index = {e: i for i, e in enumerate(self.exponents)}
 
     def __len__(self):
         return len(self.exponents)
@@ -206,13 +200,6 @@ class MultiPoly:
         if len(self.coeffs) != len(basis):
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for {len(basis)} basis monomials")
-
-    @classmethod
-    def from_dict(cls, basis: MonomialBasis, terms: dict, ctx=None):
-        c = np.zeros(len(basis), dtype=np.int64)
-        for e, v in terms.items():
-            c[basis.index[tuple(e)]] = v
-        return cls(basis, c, ctx)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -299,12 +286,6 @@ def multiplicities(g: MultiPoly, points) -> np.ndarray:
     if (out == top).any():
         raise AssertionError("full shift of a nonzero polynomial vanished")
     return out
-
-
-def multiplicity_at(g: MultiPoly, a):
-    """Largest m such that g(x+a) has no monomial of degree < m
-    (inf for the zero polynomial)."""
-    return inf if g.is_zero() else int(multiplicities(g, [a])[0])
 
 
 def multiplicity_via_full_shift(g: MultiPoly, a):

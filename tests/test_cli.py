@@ -109,6 +109,29 @@ def test_kakeya_build_verify_roundtrip(tmp_path, capsys):
     assert rep["rows"][0]["values"]["size"] == 61
 
 
+@pytest.mark.parametrize("construction", ["qr", "thin"])
+def test_kakeya_build_fails_a_set_of_the_wrong_size(construction, monkeypatch, capsys):
+    # the residue set less one point, and all of AG(3,5) as the thin set
+    import fqgeom.kakeya as kakeya
+
+    qr = kakeya.build_quadratic_residue_set
+
+    def one_short(q):
+        K = qr(q)
+        K.discard(int(K.indices()[0]))
+        return K
+
+    broken = {"qr": one_short, "thin": PointSet.full}[construction]
+    monkeypatch.setattr(kakeya, {"qr": "build_quadratic_residue_set",
+                                 "thin": "build_thin_kakeya_set"}[construction], broken)
+    code, out = run(["kakeya", "build", "--q", "5", "--construction", construction], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["failed"] == ["kakeya-build"]
+    assert rep["rows"][0]["status"] == "fail"
+    assert rep["rows"][0]["values"]["size"] == {"qr": 60, "thin": 125}[construction]
+
+
 def test_kakeya_verify_failure_exit_code(tmp_path, capsys):
     pts = tmp_path / "bad.pts"
     pts.write_text("3 3 points\n0 0 0\n")
@@ -627,11 +650,6 @@ try:
     incidence.cover_fraction_check(3, planes=range(6))
 except AssertionError as e:
     print("cover:", e)
-for r in (0, 5):
-    try:
-        hermitian.degenerate_count(3, 4, r)
-    except ValueError as e:
-        print("rank:", e)
 incidence.incidence_matrix = lambda q: np.eye(q ** 3, dtype=np.int64)
 try:
     incidence.incidence_spectrum(3)
@@ -648,17 +666,15 @@ except AssertionError as e:
 def test_incidence_claim_checks_survive_optimize():
     # a mixing inequality with a zero spectral radius, more incidences than
     # the lines and points can hold, a plane family that covers nothing, a
-    # rank outside 1..n+1, a numeric spectrum off the closed form and a
-    # Hermitian count that is not an integer are refused under `python -O`
-    # too, where an assert would be stripped
+    # numeric spectrum off the closed form and a Hermitian count that is
+    # not an integer are refused under `python -O` too, where an assert
+    # would be stripped
     proc = python_optimized("-c", INCIDENCE_CHECKS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
         "mixing: mixing inequality violated at q=3: lhs=0.03292181069958848, rhs=0.0",
         "stats: 4 incidences exceed the cap 3",
         "cover: cover bound violated: 0 < 9.0",
-        "rank: rank r = 0 outside 1..4",
-        "rank: rank r = 5 outside 1..4",
         "spectrum: numeric singular value 1.0 is not 6.244997998398398",
         "phi: q - 1 = 4 does not divide 9",
     ]

@@ -30,18 +30,18 @@ def test_is_prime_small():
 def test_field_axioms_exhaustive(p, k):
     ctx = make_field(p, k)
     q = ctx.q
-    els = list(ctx.elements())
+    els = list(range(q))
     for a in els:
         assert ctx.add(a, 0) == a
         assert ctx.mul(a, 1) == a
-        assert ctx.add(a, ctx.neg(a)) == 0
+        assert ctx.add(a, int(ctx.neg_table[a])) == 0
         if a != 0:
             assert ctx.mul(a, ctx.inv(a)) == 1
     for a in els:
         for b in els:
             assert ctx.add(a, b) == ctx.add(b, a)
             assert ctx.mul(a, b) == ctx.mul(b, a)
-            assert ctx.sub(ctx.add(a, b), b) == a
+            assert ctx.add(ctx.add(a, b), int(ctx.neg_table[b])) == a
     for a in els[: min(q, 8)]:
         for b in els[: min(q, 8)]:
             for c in els[: min(q, 8)]:
@@ -71,7 +71,7 @@ def test_array_tables_match_scalar_reference(p, k):
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_pow_matches_repeated_mul(p, k):
     ctx = make_field(p, k)
-    for a in ctx.elements():
+    for a in range(ctx.q):
         acc = 1
         for e in range(1, 6):
             acc = ctx.mul(acc, a)
@@ -85,7 +85,7 @@ def test_gf4_modulus_is_lex_first():
 
 def test_encode_decode_roundtrip():
     ctx = make_field(3, 2)
-    for a in ctx.elements():
+    for a in range(ctx.q):
         assert ctx.encode(ctx.decode(a)) == a
 
 
@@ -93,21 +93,21 @@ def test_encode_decode_roundtrip():
 def test_conjugation_is_involution_fixing_prime_subfield(p):
     ctx = make_field(p, 2)
     fixed = 0
-    for a in ctx.elements():
+    for a in range(ctx.q):
         assert ctx.conj(ctx.conj(a)) == a
         assert ctx.conj(ctx.mul(a, a and 1)) == ctx.mul(ctx.conj(a), a and 1)
         if ctx.conj(a) == a:
             fixed += 1
     assert fixed == p  # the fixed field is GF(p)
-    for a in ctx.elements():
-        for b in ctx.elements():
+    for a in range(ctx.q):
+        for b in range(ctx.q):
             assert ctx.conj(ctx.mul(a, b)) == ctx.mul(ctx.conj(a), ctx.conj(b))
             assert ctx.conj(ctx.add(a, b)) == ctx.add(ctx.conj(a), ctx.conj(b))
 
 
 def test_frobenius_helper():
     ctx = make_field(2, 2)
-    for a in ctx.elements():
+    for a in range(ctx.q):
         assert ctx.conj(a) == ctx.pow(a, 2)
 
 
@@ -117,7 +117,7 @@ def test_conjugation_over_every_square_field(q):
     # fixes exactly the r elements of GF(r), also for composite r
     ctx = field_of_order(q)
     r = isqrt(q)
-    conj = np.array([ctx.conj(a) for a in ctx.elements()])
+    conj = np.array([ctx.conj(a) for a in range(ctx.q)])
     assert (conj[conj] == np.arange(q)).all()
     assert (conj[ctx.add_table] == ctx.add_table[conj[:, None], conj[None, :]]).all()
     assert (conj[ctx.mul_table] == ctx.mul_table[conj[:, None], conj[None, :]]).all()

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from math import isqrt
@@ -6,27 +7,63 @@ import numpy as np
 import pytest
 
 from fqgeom.geom import proj_space
+from fqgeom.gf import field_of_order
 from fqgeom.hermitian import (
     AlphaOutOfRange,
     HermitianMatrix,
     NonSquareField,
     NotHermitian,
-    WholeSpace,
+    _meet_sizes,
     build_hermitian,
     build_tangent_line_family,
-    classify_line,
-    degenerate_count,
     identity_hermitian,
     phi,
-    random_hermitian,
     tangent_lines_at,
-    tangent_space,
 )
 
 
 def _points(V):
     """The variety's points as rows of coordinates, in id order."""
     return proj_space(V.q, V.n).array[V.mask]
+
+
+def _random_hermitian(r, n, seed):
+    """Uniform Hermitian matrix: random upper triangle over GF(r^2),
+    diagonal in the fixed field GF(r) of conjugation."""
+    ctx = field_of_order(r * r)
+    rng = random.Random(seed)
+    size = n + 1
+    fixed = [a for a in range(ctx.q) if ctx.conj(a) == a]
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        m[i][i] = rng.choice(fixed)
+        for j in range(i + 1, size):
+            m[i][j] = rng.randrange(ctx.q)
+            m[j][i] = ctx.conj(m[i][j])
+    return HermitianMatrix(ctx, tuple(tuple(row) for row in m))
+
+
+def _rank_count(n, q, r):
+    """Point count of a rank-r Hermitian variety in PG(n,q), 1 <= r <= n+1:
+    a cone over a non-degenerate one in PG(r-1,q) with vertex PG(n-r,q)."""
+    t = q ** (n - r + 1) - 1
+    return t * phi(r - 1, q) + t // (q - 1) + phi(r - 1, q)
+
+
+def _all_lines(pg):
+    """Every line of a small PG(n,q) once: the lines through each pair of
+    points, deduplicated."""
+    i, j = np.triu_indices(len(pg.array), 1)
+    return np.unique(pg.line_ids(pg.array[i], pg.array[j]), axis=0)
+
+
+def _singular_ids(V):
+    """Ids of the points c with H conj(c) = 0."""
+    return np.flatnonzero(~V.H.apply_conj(proj_space(V.q, V.n).array).any(axis=1))
+
+
+# diag(1, 1, 0) over GF(4): a rank-2 curve of PG(2,4), singular at (0, 0, 1)
+RANK2 = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
 
 
 def test_phi_values():
@@ -38,32 +75,25 @@ def test_phi_values():
         phi(2, 5)
 
 
-def test_degenerate_count_values():
-    assert degenerate_count(2, 4, 2) == 13  # q^{3/2} + q + 1
-    assert degenerate_count(2, 9, 2) == 37
-    assert degenerate_count(2, 4, 3) == phi(2, 4)  # full rank
-
-
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (4, 2), (8, 2), (9, 2), (4, 3)])
 def test_identity_variety_matches_formula(p, n):
     # p is r = sqrt(q), a prime power: GF(16), GF(64) and GF(81) too
     V = build_hermitian(identity_hermitian(p, n), n)
     assert V.non_degenerate
     assert len(_points(V)) == phi(n, p * p)
-    for x in _points(V):
-        assert V.contains(x)
+    assert V.mask[proj_space(p * p, n).ids(_points(V))].all()
 
 
 @pytest.mark.parametrize("p,n,seed", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 5),
                                       (4, 2, 1), (4, 2, 2), (4, 2, 3)])
 def test_random_variety_counts(p, n, seed):
-    H = random_hermitian(p, n, seed)
+    H = _random_hermitian(p, n, seed)
     V = build_hermitian(H, n)
     q = p * p
     if V.rank == 0:
         assert V.mask.sum() == len(proj_space(q, n).array)
     else:
-        assert V.mask.sum() == degenerate_count(n, q, V.rank)
+        assert V.mask.sum() == _rank_count(n, q, V.rank)
 
 
 def test_not_hermitian_rejected():
@@ -76,11 +106,11 @@ def test_not_hermitian_rejected():
 
 def test_degenerate_rank2_curve():
     ctx = identity_hermitian(2, 2).ctx
-    H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+    H = HermitianMatrix(ctx, RANK2)
     V = build_hermitian(H, 2)
     assert V.rank == 2
-    assert V.mask.sum() == degenerate_count(2, 4, 2) == 13
-    assert proj_space(4, 2).array[V.singular].tolist() == [[0, 0, 1]]
+    assert V.mask.sum() == _rank_count(2, 4, 2) == 13  # q^{3/2} + q + 1
+    assert proj_space(4, 2).array[_singular_ids(V)].tolist() == [[0, 0, 1]]
 
 
 def test_zero_matrix_everything_variety():
@@ -92,25 +122,23 @@ def test_zero_matrix_everything_variety():
 
 
 def test_classify_all_lines_pg34():
+    # every line meets V in 1 (tangent), 3 (secant) or 5 (contained) points
     V = build_hermitian(identity_hermitian(2, 3), 3)
-    pg = proj_space(4, 3)
-    sizes = {"tangent": 0, "secant": 0, "contained": 0}
-    for ln in pg.all_lines():
-        sizes[classify_line(V, ln)] += 1
-    assert sum(sizes.values()) == 357
-    assert sizes["tangent"] > 0 and sizes["secant"] > 0 and sizes["contained"] > 0
+    sizes = _meet_sizes(V, _all_lines(proj_space(4, 3)))
+    assert len(sizes) == 357
+    assert set(sizes.tolist()) == {1, 3, 5}
 
 
 def test_line_through_singular_point_contained():
     ctx = identity_hermitian(2, 2).ctx
-    H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+    H = HermitianMatrix(ctx, RANK2)
     V = build_hermitian(H, 2)
     pg = proj_space(4, 2)
-    c = pg.array[V.singular[0]]
+    (s,) = _singular_ids(V)
     for i in np.flatnonzero(V.mask):
-        if i == V.singular[0]:
+        if i == s:
             continue
-        assert classify_line(V, pg.line_ids(c, pg.array[i])) == "contained"
+        assert _meet_sizes(V, pg.line_ids(pg.array[s], pg.array[i])[None]).tolist() == [5]
 
 
 def test_tangent_space_structure():
@@ -118,17 +146,19 @@ def test_tangent_space_structure():
     V = build_hermitian(identity_hermitian(2, 3), 3)
     pg = proj_space(q, 3)
     r = isqrt(q)
+    # the tangent plane at c meets V in a rank-2 curve, like diag(1, 1, 0)
+    curve = build_hermitian(HermitianMatrix(V.H.ctx, RANK2), 2)
     for c in _points(V)[:6]:
-        w = tangent_space(V, c)
-        assert not isinstance(w, WholeSpace)
-        section = [x for x in pg.hyperplane_points(w) if V.mask[x]]
-        assert len(section) == degenerate_count(2, q, 2) == 13
+        w = V.H.apply_conj(c)
+        assert w.any()  # c is not singular
+        section = np.flatnonzero(V.mask & (pg.ctx.dot(pg.array, w) == 0))
+        assert len(section) == curve.mask.sum() == 13
         # the section is r+1 lines through c
         others = [x for x in section if x != pg.ids(c)]
         lines = set()
         for x in others:
             ln = pg.line_ids(c, pg.array[x])
-            assert classify_line(V, ln) == "contained"
+            assert _meet_sizes(V, ln[None]).tolist() == [q + 1]
             lines.add(tuple(ln[:2]))
         assert len(lines) == r + 1
         # lines through c in the tangent plane: r+1 contained + (q-r) tangent
@@ -138,7 +168,7 @@ def test_tangent_space_structure():
 def _variety(r, make):
     if make == "identity":
         return build_hermitian(identity_hermitian(r, 3), 3)
-    V = next(W for W in (build_hermitian(random_hermitian(r, 3, s), 3)
+    V = next(W for W in (build_hermitian(_random_hermitian(r, 3, s), 3)
                          for s in range(100)) if W.non_degenerate)
     assert V.H != identity_hermitian(r, 3)
     return V
@@ -177,24 +207,12 @@ def test_tangent_lines_at_batch_matches_single_calls(r):
     assert tangent_lines_at(V, pts[:0]).shape == (0, q - r, q + 1)
 
 
-def test_degenerate_count_rank_range():
-    for r in (0, 5):
-        with pytest.raises(ValueError, match="outside 1..4"):
-            degenerate_count(3, 4, r)
-
-
-def test_tangent_space_of_singular_point():
-    ctx = identity_hermitian(2, 2).ctx
-    H = HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
-    V = build_hermitian(H, 2)
-    assert isinstance(tangent_space(V, proj_space(4, 2).array[V.singular[0]]), WholeSpace)
-
-
 def test_tangent_space_rejects_point_off_variety():
     V = build_hermitian(identity_hermitian(2, 3), 3)
-    off = next(tuple(x) for x in proj_space(4, 3).array.tolist() if not V.contains(x))
+    pg = proj_space(4, 3)
+    off = tuple(pg.array[np.flatnonzero(~V.mask)[0]].tolist())
     with pytest.raises(ValueError):
-        tangent_space(V, off)
+        tangent_lines_at(V, off)
     # tangent_lines_at names the point off V anywhere in a batch, same text
     with pytest.raises(ValueError, match=re.escape(f"requires a variety point, got {off}")):
         tangent_lines_at(V, [_points(V)[0], off])
@@ -202,15 +220,16 @@ def test_tangent_space_rejects_point_off_variety():
 
 def test_tangent_lines_at_singular_point_raises():
     ctx = identity_hermitian(2, 2).ctx
-    V = build_hermitian(HermitianMatrix(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 0))), 2)
+    V = build_hermitian(HermitianMatrix(ctx, RANK2), 2)
     pg = proj_space(4, 2)
-    c = tuple(pg.array[V.singular[0]].tolist())
+    (s,) = _singular_ids(V)
+    c = tuple(pg.array[s].tolist())
     with pytest.raises(ValueError):
         tangent_lines_at(V, c)
     # a singular point anywhere in a batch is named
-    others = np.flatnonzero(V.mask & (np.arange(len(pg.array)) != V.singular[0]))
+    others = np.flatnonzero(V.mask & (np.arange(len(pg.array)) != s))
     with pytest.raises(ValueError, match=re.escape(f"singular point {c} has no tangent lines")):
-        tangent_lines_at(V, pg.array[np.append(others, V.singular[0])])
+        tangent_lines_at(V, pg.array[np.append(others, s)])
 
 
 def test_family_q4():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fqgeom.geom import PointSet, affine_space
@@ -19,7 +20,6 @@ from fqgeom.kakeya import (
     fractional_coefficient,
     fractional_pipeline,
     integer_multiplicity_bound,
-    leading_term_Nq3,
     optimize_fractional_bound,
     qr_set_size,
     sample_fractional_subset,
@@ -90,14 +90,22 @@ def test_integer_multiplicity_bound_values():
         assert abs(b / q ** 3 - 5 / 24) < 0.05
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_thin_set_is_the_residue_set(q):
+    # one line per direction fills exactly the residue set
+    assert np.array_equal(build_thin_kakeya_set(q).mask, build_quadratic_residue_set(q).mask)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_constructions_meet_integer_bound(q):
     assert qr_set_size(q) >= integer_multiplicity_bound(q)
 
 
 def test_leading_term_values():
-    assert leading_term_Nq3(2) == Fraction(5, 6)
-    assert leading_term_Nq3(1) == Fraction(1, 6)
+    # the leading q^3 coefficient of N_q(3,m), (-2m^3+9m^2-9m+3)/6 for
+    # 1 <= m <= 2, is fractional_coefficient(m, 1) times 3m - 2
+    assert fractional_coefficient(2, 1) * (3 * 2 - 2) == Fraction(5, 6)
+    assert fractional_coefficient(1, 1) * (3 * 1 - 2) == Fraction(1, 6)
     from fqgeom.poly import count_capped_monomials
 
     for q in (101, 211):
@@ -197,7 +205,7 @@ def test_sampler_deterministic():
     w = verify_kakeya(K)
     a = sample_fractional_subset(K, w, Fraction(1, 2), seed=4)
     b = sample_fractional_subset(K, w, Fraction(1, 2), seed=4)
-    assert a.subset == b.subset and a.size == b.size
+    assert np.array_equal(a.subset.mask, b.subset.mask) and a.size == b.size
 
 
 @pytest.mark.parametrize("q,u,alpha", [

@@ -4,9 +4,9 @@ Every CLI subcommand runs at small q, once for each value of its choice
 flags, and the four benchmark workloads run their setup, run and check at
 "smoke" size, all under sys.setprofile.  The functions never called must
 be exactly UNREACHED: each entry is tagged with the ROADMAP item that will
-give it a command or move it out of src (2, 3 or 8), or is an input check
-that only malformed files reach.  A function is keyed by its module and
-co_qualname, which names methods, properties and nested functions alike.
+give it a command (2 or 3), or is an input check that only malformed files
+reach.  A function is keyed by its module and co_qualname, which names
+methods, properties and nested functions alike.
 
     PYTHONPATH=src python3 -m pytest -q tests/test_reachability.py
 """
@@ -25,36 +25,14 @@ SRC = Path(fqgeom.__file__).parent
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 UNREACHED = {
-    "geom:PointSet.__contains__": "8",
-    "geom:PointSet.__eq__": "8",
-    "geom:PointSet.add": "8",
-    "geom:PointSet.complement": "8",
-    "geom:PointSet.copy": "8",
-    "geom:ProjSpace.all_lines": "8",
-    "geom:ProjSpace.hyperplane_points": "8",
-    "gf:FieldCtx.__repr__": "8",
-    "gf:FieldCtx.elements": "8",
-    "gf:FieldCtx.neg": "8",
-    "gf:FieldCtx.sub": "8",
-    "hermitian:HermitianVariety.contains": "8",
-    "hermitian:TangentLineFamily.__len__": "8",
-    "hermitian:WholeSpace.__repr__": "8",
-    "hermitian:classify_line": "8",
-    "hermitian:degenerate_count": "8",
-    "hermitian:random_hermitian": "8",
-    "hermitian:tangent_space": "8",
     "incidence:mixing_bound_holds": "3",
     "io:_token_to_elem": "input check",
-    "kakeya:leading_term_Nq3": "8",
-    "kakeya:qr_set_size": "8",
     "nikodym:_leq_f2_bound": "3",
     "nikodym:coplanar_line_bound_check": "3",
     "nikodym:f2_bound": "3",
     "nikodym:nikodym_complement_bound_check": "3",
     "nikodym:union_lower_bound_check": "3",
-    "poly:DegreeCap.__repr__": "8",
     "poly:MultiPoly.evaluate": "2",
-    "poly:MultiPoly.from_dict": "8",
     "poly:MultiPoly.total_degree": "2",
     "poly:UniPoly.degree": "2",
     "poly:UniPoly.evaluate": "2",
@@ -62,7 +40,6 @@ UNREACHED = {
     "poly:UniPoly.multiplicity_at": "2",
     "poly:homogeneous_top": "2",
     "poly:is_identically_zero_on_space": "2",
-    "poly:multiplicity_at": "8",
 }
 
 # --construction takes no argparse choices; the CLI knows these two
@@ -174,5 +151,8 @@ def test_unreached_functions_are_the_allow_list(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, check=True)
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * len(argvs)
-    assert set(UNREACHED.values()) <= {"2", "3", "8", "input check"}
-    assert sorted(all_functions() - set(got["called"])) == sorted(UNREACHED)
+    assert set(UNREACHED.values()) <= {"2", "3", "input check"}
+    unreached = all_functions() - set(got["called"])
+    assert unreached == set(UNREACHED), (
+        f"now reached: {sorted(set(UNREACHED) - unreached)}; "
+        f"now unreached: {sorted(unreached - set(UNREACHED))}")
