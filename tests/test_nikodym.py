@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from fqgeom.geom import LineFamily, PointSet, affine_space
+from fqgeom.gf import field_of_order
 from fqgeom.nikodym import (
     FailingPoints,
     GeneratorInfeasible,
@@ -143,6 +145,30 @@ def test_complement_bound_check():
     assert rep["mixing_holds"]
     full = nikodym_complement_bound_check(verify_nikodym(PointSet.full(q)))
     assert full["complement_ratio"] == 0
+
+
+def hermitian_complement(q):
+    """AG(3,q) minus the affine Hermitian surface
+    1 + x1^(r+1) + x2^(r+1) + x3^(r+1) = 0, r = sqrt(q): a Nikodym set
+    whose complement is larger than q^3/2 is not, so its check counts the
+    complement."""
+    ctx = field_of_order(q)
+    norm = ctx.pow_table[:, math.isqrt(q) + 1]
+    add = ctx.add_table
+    pair = add[add[1, norm][:, None], norm[None, :]]
+    return PointSet.from_mask(q, 3, add[pair[:, :, None], norm[None, None, :]].ravel() != 0)
+
+
+def test_hermitian_witness_q25_pinned():
+    """The witness of AG(3,25) minus the Hermitian surface (3,150 affine
+    points of its 3,276), pinned by the sha256 of its sorted assignment."""
+    N = hermitian_complement(25)
+    assert len(N) == 25 ** 3 - 3150 == 12475
+    res = verify_nikodym(N)
+    assert isinstance(res, NikodymWitness)
+    text = json.dumps(sorted(res.assignment.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e61e4ebae37c315550deb2a97732e5efe3ff98f300121942fb693a78ae483b41")
 
 
 def test_coplanar_bound():
