@@ -41,6 +41,11 @@ from .linalg import nullspace
 # row of labels at most 128 MB (AG(3,q) for q <= 256)
 PROJ_POINT_LIMIT = 1 << 24
 
+# a batch of B directions over P labelled points (or over the q^(n-1) lines
+# of a direction, when those are more) takes at most this many label cells,
+# and a block of k lines at most this many plane ids, k(q+1)
+KAKEYA_CELLS = 1 << 14
+
 
 class UnsupportedField(ValueError):
     pass
@@ -138,6 +143,31 @@ class AffineSpace:
         for y in ys[1:]:  # in place, unless y broadcasts labels up to the grid
             labels = np.add(labels, y, out=labels if labels.shape == y.shape else None)
         return labels.reshape(len(ids), -1)
+
+    def label_points(self, dir_ids, labels) -> np.ndarray:
+        """The point where each line, given by its direction and its label
+        from line_labels, meets x_k = 0 (k the first nonzero coordinate of
+        the direction): the label's base-q digits with a 0 put in at digit
+        k."""
+        low = self.q ** (self.proj.array[dir_ids] != 0).argmax(axis=-1)
+        return labels // low * (low * self.q) + labels % low
+
+    def line_counts(self, coords=None, counted=slice(None), start=0):
+        """Sweep the directions from start on in ascending batches, yielding
+        (ids, keys, counts) per batch: keys[r] is line_labels(ids[r], coords)
+        (by default every point) plus r*nlabels, so that a key names one
+        line of the batch, and counts[key] is how many of the counted
+        columns of keys lie on that line.  A batch of B directions takes
+        B*max(points, nlabels) <= KAKEYA_CELLS label cells, or is one
+        direction."""
+        npts = self.npoints if coords is None else coords.shape[1]
+        step = max(1, KAKEYA_CELLS // max(npts, self.nlabels))
+        for first in range(start, self.ndirs, step):
+            ids = np.arange(first, min(first + step, self.ndirs))
+            keys = self.line_labels(ids, coords)
+            keys += np.arange(len(ids))[:, None] * self.nlabels
+            counts = np.bincount(keys[:, counted].ravel(), minlength=len(ids) * self.nlabels)
+            yield ids, keys, counts
 
     def all_lines(self) -> np.ndarray:
         """Every affine line exactly once, as ascending (dir_id, base) rows:
@@ -248,11 +278,16 @@ class LineFamily:
 
     def max_plane_occupancy(self):
         """(plane id, count) with the largest member-line count, ties to the
-        largest id; (None, 0) for no lines or for AG(2,q)."""
+        largest id; (None, 0) for no lines or for AG(2,q).  The planes of a
+        block of KAKEYA_CELLS // (q+1) lines are counted at a time."""
         sp = self.space
         if not len(self.lines) or sp.n != 3:
             return None, 0
-        counts = np.bincount(sp.line_planes(*self.lines.T).ravel())
+        counts = np.zeros(sp.ndirs * sp.q, dtype=np.int64)
+        step = max(1, KAKEYA_CELLS // (sp.q + 1))
+        for start in range(0, len(self.lines), step):
+            planes = sp.line_planes(*self.lines[start:start + step].T)
+            counts += np.bincount(planes.ravel(), minlength=len(counts))
         top = len(counts) - 1 - int(counts[::-1].argmax())  # the last largest id
         return top, int(counts[top])
 

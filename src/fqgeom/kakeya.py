@@ -56,18 +56,13 @@ class MissingDirections:
     directions: list  # dir_ids with no fully-contained line
 
 
-# a batch of B directions over a set of |K| points (or over the q^2 lines of
-# a direction, when those are more) takes at most this many label cells
-KAKEYA_CELLS = 1 << 14
-
-
 def verify_kakeya(pset: PointSet):
     """Exhaustive check: for each of the q^2+q+1 directions, find a line
     fully contained in the set.  Returns a KakeyaWitness on success, else
     MissingDirections listing every uncovered direction.  Only the smaller
-    side is labelled, for a batch of directions per array call: a line is
-    contained when it holds q of the set's points, or none of the
-    complement's."""
+    side is labelled, for a batch of directions per array call
+    (AffineSpace.line_counts): a line is contained when it holds q of the
+    set's points, or none of the complement's."""
     sp = affine_space(pset.q, pset.n)
     pts = pset.indices()
     if 2 * len(pts) > pset.mask.size:  # the complement is the smaller side
@@ -81,13 +76,8 @@ def verify_kakeya(pset: PointSet):
         counted, full = slice(None), pset.q
         coords = sp.point_coords(pts)
     heads = slice(coords.shape[1] - len(pts), None)
-    step = max(1, KAKEYA_CELLS // max(coords.shape[1], sp.nlabels))
     witness, missing = {}, []
-    for start in range(0, sp.ndirs, step):
-        ids = np.arange(start, min(start + step, sp.ndirs))
-        keys = sp.line_labels(ids, coords)
-        keys += np.arange(len(ids))[:, None] * sp.nlabels
-        counts = np.bincount(keys[:, counted].ravel(), minlength=len(ids) * sp.nlabels)
+    for ids, keys, counts in sp.line_counts(coords, counted):
         contained = counts == full
         found = contained.reshape(len(ids), -1).any(axis=1)
         missing += ids[~found].tolist()

@@ -56,28 +56,93 @@ class FailingPoints:
 
 def verify_nikodym(pset: PointSet):
     """Check that through EVERY point p some line meets the complement in
-    at most {p}; extract, for each complement point, the canonical-first
-    such line.  The single-intersection structure makes the assignment
-    injective automatically (a line determines its unique complement
-    point).  Returns NikodymWitness or FailingPoints."""
+    at most {p}; extract, for each complement point, the line of the first
+    direction that qualifies, with the line's least point as base, in
+    (direction, point) order.  The single-intersection structure makes the
+    assignment injective automatically (a line determines its unique
+    complement point).  Returns NikodymWitness or FailingPoints.
+
+    Like verify_kakeya, it sweeps batches of directions
+    (AffineSpace.line_counts), labels only the smaller side (the set on a
+    tie) and stops once every point qualifies.  On the set side a set
+    point qualifies on a line holding q set points, and a complement point
+    on a line holding q - 1, which is found from the line's label.  On the
+    complement side the complement is labelled with the set points still
+    pending (_nikodym_complement_side)."""
     sp = affine_space(pset.q, pset.n)
-    comp = ~pset.mask
-    self_comp = comp.astype(np.int64)  # required complement count on the line at p
+    if 2 * len(pset) > pset.mask.size:
+        return _nikodym_complement_side(sp, pset)
+    q, mask = pset.q, pset.mask
+    pts = pset.indices()
     ok = np.zeros(sp.npoints, dtype=bool)
     assignment = {}
-    for d in range(sp.ndirs):
-        if ok.all():  # later directions cannot change ok or the assignment
+    for ids, keys, counts in sp.line_counts(sp.point_coords(pts)):
+        ok[pts[(counts == q)[keys].any(axis=0)]] = True
+        lines = np.flatnonzero(counts == q - 1)
+        if len(lines):
+            row, label = np.divmod(lines, sp.nlabels)
+            dirs = ids[row]
+            on = sp.line_points(dirs, sp.label_points(dirs, label))  # (lines, q)
+            new = on[~mask[on]]  # the one complement point of each line
+            fresh = ~ok[new]
+            _assign(assignment, ok, new[fresh], dirs[fresh], on[fresh].min(axis=1))
+        if ok.all():
             break
-        labels = sp.line_labels([d])[0]
-        cnt = np.bincount(labels[comp], minlength=sp.nlabels)[labels]
-        good = cnt == self_comp
-        new = np.flatnonzero(good & ~ok & comp)  # complement points assigned here
-        if len(new):
-            bases = sp.line_points(d, new).min(axis=1)  # least points of their lines
-            assignment.update(zip(new.tolist(), ((d, b) for b in bases.tolist())))
-        ok |= good
+    return _nikodym_result(pset, ok, assignment)
+
+
+def _nikodym_complement_side(sp, pset):
+    """verify_nikodym on the complement side: a point qualifies on a line
+    holding as many complement points as it is one (1 or 0).  The sweep
+    labels the complement and the set points still pending, and labels
+    afresh from the next batch on once fewer than half of those are
+    pending.  While no point has qualified it labels every point, on the
+    label grid."""
+    comp = np.flatnonzero(~pset.mask)
+    # the lines through a set point meet only there, so the complement meets
+    # them all only if it has a point on the line of every direction
+    ok = pset.mask.copy() if len(comp) < sp.ndirs else np.zeros(sp.npoints, dtype=bool)
+    assignment, start = {}, 0
+    while start < sp.ndirs:
+        if ok.any():
+            pts = np.concatenate([comp, np.flatnonzero(pset.mask & ~ok)])
+            coords, counted = sp.point_coords(pts), slice(len(comp))
+        else:
+            pts, coords, counted = np.arange(sp.npoints), None, comp
+        pending = len(pts) - len(comp)  # set points without a line
+        need = (~pset.mask[pts]).astype(np.int64)  # 1 at complement points
+        for ids, keys, counts in sp.line_counts(coords, counted, start):
+            start = ids[-1] + 1
+            good = counts[keys] == need
+            fresh = good.any(axis=0) & ~ok[pts]  # qualified in this batch
+            new = np.flatnonzero(fresh & (need == 1))  # complement points assigned here
+            if len(new):
+                dirs = ids[good[:, new].argmax(axis=0)]
+                _assign(assignment, ok, pts[new], dirs, sp.line_points(dirs, pts[new]).min(axis=1))
+            ok[pts[fresh]] = True
+            if ok.all():  # later directions cannot change ok or the assignment
+                return _nikodym_result(pset, ok, assignment)
+            pending -= np.count_nonzero(fresh) - len(new)
+            if 2 * pending < len(pts) - len(comp):
+                break
+    return _nikodym_result(pset, ok, assignment)
+
+
+def _assign(assignment, ok, points, dirs, bases):
+    """Give each complement point its line of the first of dirs, in
+    (direction, point) order, and mark it settled."""
+    order = np.lexsort((dirs, points))  # by point, then direction
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = points[order[1:]] != points[order[:-1]]
+    keep = order[first]
+    keep = keep[np.lexsort((points[keep], dirs[keep]))]
+    assignment.update(zip(points[keep].tolist(), zip(dirs[keep].tolist(), bases[keep].tolist())))
+    ok[points] = True
+
+
+def _nikodym_result(pset, ok, assignment):
     if not ok.all():
-        return FailingPoints(pset.q, [int(p) for p in np.nonzero(~ok)[0]])
+        return FailingPoints(pset.q, np.flatnonzero(~ok).tolist())
     lines = list(assignment.values())
     if len(set(lines)) != len(lines):  # pragma: no cover - structurally impossible
         raise AssignmentNotInjective("two complement points share a line")

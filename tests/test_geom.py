@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fqgeom
 from fqgeom import geom, linalg
 from fqgeom.geom import (
     LineFamily,
@@ -159,6 +165,63 @@ def test_max_plane_occupancy_matches_recount(q):
     assert LineFamily(sp, both).max_plane_occupancy() == (q - 1, q * (q + 1))
     assert LineFamily(sp).max_plane_occupancy() == (None, 0)
     assert LineFamily(affine_space(q, 2), [(0, 0)]).max_plane_occupancy() == (None, 0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_max_plane_occupancy_ignores_the_cell_bound(q, monkeypatch):
+    """Blocks of one line, the default blocks and one block count the same
+    planes."""
+    sp = affine_space(q, 3)
+    lines = sp.all_lines()
+    fam = LineFamily(sp, lines[np.random.default_rng(q).choice(len(lines), 3 * q * q)])
+    got = []
+    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
+        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+        got.append(fam.max_plane_occupancy())
+    assert got[0] == got[1] == got[2] == recount_max_occupancy(fam)
+
+
+_OCCUPANCY_CHILD = """
+import json, random
+import numpy as np
+from fqgeom.geom import LineFamily, affine_space
+
+def hwm_kb():
+    # VmHWM is this process's own peak, which ru_maxrss is not
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+q = 49
+sp = affine_space(q, 3)
+rng = random.Random(49)
+dirs = np.array([rng.randrange(sp.ndirs) for _ in range(16856)])
+pts = np.array([rng.randrange(q ** 3) for _ in range(16856)])
+# a line's least point is its point with x_m = 0, m its direction's base axis
+low = q ** sp.base_axis[dirs]
+fam = LineFamily(sp, np.stack([dirs, pts - pts // low % q * low], axis=1))
+sp.normals
+before = hwm_kb()
+got = fam.max_plane_occupancy()
+rise = hwm_kb() - before
+counts = np.bincount(sp.line_planes(*fam.lines.T).ravel())
+top = len(counts) - 1 - int(counts[::-1].argmax())
+print(json.dumps({"got": got, "want": [top, int(counts[top])], "rise_kb": rise}))
+"""
+
+
+def test_max_plane_occupancy_memory_bound():
+    """The plane counts of 16,856 seeded lines of AG(3,49), as many as the
+    Nikodym witness of AG(3,49) minus the Hermitian surface has, raise the
+    peak RSS by under 8 MB: their 842,800 plane ids in one piece took
+    44 MB."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _OCCUPANCY_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["got"] == out["want"]
+    assert out["rise_kb"] < 8 * 1024
 
 
 def test_normalize_dir():

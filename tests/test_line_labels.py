@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fqgeom
-from fqgeom import kakeya
+from fqgeom import geom
 from fqgeom.geom import PointSet, affine_space
 from fqgeom.kakeya import (
     KakeyaWitness,
@@ -222,8 +222,8 @@ def test_verifiers_ignore_the_cell_bound(q, kind, monkeypatch):
     pset = PointSet(q) if kind == "empty" else (
         PointSet.full(q) if kind == "full" else _pointset(q, kind))
     outcomes = []
-    for cells in (1, kakeya.KAKEYA_CELLS, 1 << 30):
-        monkeypatch.setattr(kakeya, "KAKEYA_CELLS", cells)
+    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
+        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
         outcomes.append((_outcome(verify_kakeya(pset)), _outcome(verify_nikodym(pset))))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     (kind_k, found), _ = outcomes[0]
@@ -284,14 +284,43 @@ def test_kakeya_sides_match_reference(q, kind, monkeypatch):
         d = int(affine_space(q, 3).proj.ids([1, 0, 0]))
         assert witness[d] == (d, q * q)
         assert list(pset.indices()).index(q * q) == q * (q - 1)
-    for cells in (1, kakeya.KAKEYA_CELLS, 1 << 30):
-        monkeypatch.setattr(kakeya, "KAKEYA_CELLS", cells)
+    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
+        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
         got = verify_kakeya(pset)
         if missing:
             assert isinstance(got, MissingDirections) and got.directions == missing
         else:
             assert isinstance(got, KakeyaWitness)
             assert list(got.lines.items()) == list(witness.items())
+
+
+@pytest.mark.parametrize("kind", ["half-below", "half", "half-above", "blocked", "hit-first"])
+@pytest.mark.parametrize("q", QS)
+def test_nikodym_sides_match_reference(q, kind, monkeypatch):
+    """Labelling the set (the half sets up to q^3/2 points) or sweeping
+    every point against the complement gives the reference assignment, in
+    its order, or the reference failing points, at any batch size."""
+    pset = _sided_pointset(q, kind)
+    assignment, failing = reference_nikodym(pset)
+    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
+        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+        got = verify_nikodym(pset)
+        if failing:
+            assert isinstance(got, FailingPoints) and got.points == failing
+        else:
+            assert isinstance(got, NikodymWitness)
+            assert list(got.assignment.items()) == list(assignment.items())
+
+
+def test_nikodym_set_side_witness(monkeypatch):
+    """The plane x3 = 0 of AG(3,2) holds q^3/2 points, so its set is
+    labelled; every point above it takes the vertical line through it."""
+    pset = PointSet(2, 3, range(4))
+    for cells in (1, geom.KAKEYA_CELLS):
+        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+        got = verify_nikodym(pset)
+        assert isinstance(got, NikodymWitness)
+        assert list(got.assignment.items()) == [(4, (0, 0)), (5, (0, 1)), (6, (0, 2)), (7, (0, 3))]
 
 
 _CHILD = textwrap.dedent("""

@@ -12,6 +12,7 @@ from fqgeom.nikodym import (
     GeneratorInfeasible,
     NikodymWitness,
     TooFewLines,
+    _leq_f2_bound,
     build_conic_dual_line_family,
     conjecture_harness,
     coplanar_line_bound_check,
@@ -169,6 +170,14 @@ def test_hermitian_witness_q25_pinned():
     text = json.dumps(sorted(res.assignment.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e61e4ebae37c315550deb2a97732e5efe3ff98f300121942fb693a78ae483b41")
+
+
+def test_coplanar_cap_boundary():
+    """The cap q^(3/2) + 1 + q admits 1 + q + isqrt(q^3) lines in a plane
+    and refuses one more."""
+    for q in range(2, 65):
+        last = 1 + q + math.isqrt(q ** 3)
+        assert _leq_f2_bound(last, q) and not _leq_f2_bound(last + 1, q)
 
 
 def test_coplanar_bound():
