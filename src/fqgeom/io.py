@@ -8,7 +8,8 @@ Round trips are bit-exact.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -67,13 +68,13 @@ def _read_header(line: str):
     return int(parts[0]), int(parts[1]), parts[2]
 
 
-def _read_rows(fh, ctx, width: int, kind: str) -> np.ndarray:
-    """The element codes of the remaining rows of width tokens, skipping
-    blank rows; a line row must not start with a zero direction."""
+def _parse_rows(lines, ctx, width: int, kind: str) -> list:
+    """The element codes of rows of width tokens, one row at a time,
+    skipping blank rows; a line row must not start with a zero direction."""
     codes = _codec(ctx.q)[1]
     ndir = width // 2 if kind == "line" else 0
     flat = []
-    for line in fh:
+    for line in lines:
         toks = line.split()
         if not toks:
             continue
@@ -86,7 +87,40 @@ def _read_rows(fh, ctx, width: int, kind: str) -> np.ndarray:
         if ndir and not any(vals[:ndir]):
             raise FormatError(f"line row has a zero direction: {line!r}")
         flat += vals
-    return np.array(flat, dtype=np.int64).reshape(-1, width)
+    return flat
+
+
+def _map_rows(lines, codes, width: int, ndir: int):
+    """The (rows, width) element codes of a chunk of rows, skipping blank
+    rows, when every row has width tokens that the writer makes and no
+    zero direction in its first ndir; else None."""
+    rows = list(filter(None, map(str.split, lines)))
+    if set(map(len, rows)) - {width}:
+        return None
+    try:
+        vals = np.fromiter(map(codes.__getitem__, chain.from_iterable(rows)), dtype=np.int64)
+    except KeyError:
+        return None
+    vals = vals.reshape(-1, width)
+    if ndir and not vals[:, :ndir].any(axis=1).all():
+        return None
+    return vals
+
+
+def _read_rows(fh, ctx, width: int, kind: str) -> np.ndarray:
+    """The element codes of the remaining rows of width tokens, read in
+    chunks of about 4 KB: a chunk is mapped whole by _map_rows, or, when
+    that refuses it, row by row by _parse_rows, which accepts any digit
+    spelling and raises the error of the chunk's first bad row."""
+    codes = _codec(ctx.q)[1]
+    ndir = width // 2 if kind == "line" else 0
+    chunks = [np.zeros((0, width), dtype=np.int64)]
+    for lines in iter(partial(fh.readlines, 4096), []):
+        vals = _map_rows(lines, codes, width, ndir)
+        if vals is None:
+            vals = np.array(_parse_rows(lines, ctx, width, kind), dtype=np.int64).reshape(-1, width)
+        chunks.append(vals)
+    return np.concatenate(chunks)
 
 
 def load_pointset(path: str) -> PointSet:

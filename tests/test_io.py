@@ -128,6 +128,34 @@ def test_linefamily_zero_direction(tmp_path):
         load_linefamily(str(bad))
 
 
+def test_rows_past_the_first_chunk(tmp_path):
+    """Rows are read a chunk of about 4 KB at a time.  A chunk with a blank
+    row or a token the writer does not make loads as the row-by-row
+    reading does, and the first bad row's error is raised wherever it
+    lies, whichever check it fails."""
+    q = 5
+    rows = [f"{a} {b} {c}\n" for a in range(q) for b in range(q) for c in range(q)] * 20
+    path = tmp_path / "s.pts"
+    odd = rows[:1500] + ["\n", "04 +1 3\n"] + rows[1500:]
+    path.write_text(f"{q} 3 points\n" + "".join(odd))
+    assert same_set(load_pointset(str(path)), PointSet.full(q))
+    for first, second, message in [
+        ("1 2 x\n", "1 2\n", "bad element token 'x'"),
+        ("1 2\n", "1 2 x\n", r"point row needs 3 tokens: '1 2\\n'"),
+        ("1 2 x\n", "1 2 y\n", "bad element token 'x'"),
+    ]:
+        path.write_text(f"{q} 3 points\n" + "".join(
+            rows[:1200] + [first] + rows[1200:1210] + [second] + rows[1210:]))
+        with pytest.raises(FormatError, match=message):
+            load_pointset(str(path))
+    path = tmp_path / "f.lines"
+    lines = ["1 0 0 0 1 1\n"] * 1000
+    path.write_text(f"{q} 3 lines\n" + "".join(
+        lines[:900] + ["0 0 0 1 2 0\n", "1 0 0 0 1 x\n"] + lines[900:]))
+    with pytest.raises(FormatError, match="zero direction"):
+        load_linefamily(str(path))
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -26,6 +26,7 @@ PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 UNREACHED = {
     "incidence:mixing_bound_holds": "3",
+    "io:_parse_rows": "input check",
     "io:_token_to_elem": "input check",
     "nikodym:_leq_f2_bound": "3",
     "nikodym:coplanar_line_bound_check": "3",
