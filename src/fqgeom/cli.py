@@ -2,9 +2,9 @@
 checks, with deterministic JSON (or CSV) reports.
 
 Exit codes: 0 all asserted checks pass; 1 an asserted check failed;
-2 configuration error.  Reported-only quantities never affect the exit
-code.  Reports embed their own config; identical configs produce
-byte-identical reports (timing goes to a sidecar file).
+2 configuration error; 3 out of memory.  Reported-only quantities never
+affect the exit code.  Reports embed their own config; identical configs
+produce byte-identical reports (timing goes to a sidecar file).
 """
 from __future__ import annotations
 
@@ -542,6 +542,9 @@ def main(argv=None) -> int:
     except AssertionError as e:
         sys.stderr.write(f"assertion failed: {e}\n")
         return 1
+    except MemoryError as e:  # numpy's _ArrayMemoryError too: no claim was decided
+        sys.stderr.write(f"error: out of memory: {e}\n")
+        return 3
     report["config"] = _config_echo(args)
     return _finish(report, args, start)
 

@@ -124,6 +124,8 @@ def _read_rows(fh, ctx, width: int, kind: str) -> np.ndarray:
 
 
 def load_pointset(path: str) -> PointSet:
+    """The point set of a points file, its rows parsed a chunk at a time
+    (_read_rows); FormatError on a bad header, row or token."""
     with open(path) as fh:
         q, n, kind = _read_header(fh.readline())
         if kind != "points":

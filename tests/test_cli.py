@@ -308,6 +308,43 @@ def test_hermitian_build_too_large_exits_2():
     assert b"over the limit" in proc.stderr
 
 
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # running out of memory decides no claim, so it is not exit 1
+    def verify_nikodym(pset):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr("fqgeom.nikodym.verify_nikodym", verify_nikodym)
+    path = tmp_path / "s.pts"
+    path.write_text("3 3 points\n0 0 0\n")
+    assert main(["nikodym", "verify", "--in", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory: no room\n"
+
+
+OUT_OF_MEMORY_SCRIPT = """
+import sys
+import numpy as np
+from fqgeom import nikodym
+from fqgeom.cli import main
+
+def verify_nikodym(pset):
+    # 4 EiB is past any address space: numpy raises its _ArrayMemoryError
+    return np.empty(1 << 62, dtype=np.uint8)
+
+nikodym.verify_nikodym = verify_nikodym
+with open("s.pts", "w") as fh:
+    fh.write("3 3 points\\n0 0 0\\n")
+sys.exit(main(["nikodym", "verify", "--in", "s.pts"]))
+"""
+
+
+def test_out_of_memory_exits_3_under_optimize(tmp_path):
+    proc = python_optimized("-c", OUT_OF_MEMORY_SCRIPT, cwd=tmp_path)
+    assert proc.returncode == 3 and proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate")
+
+
 WORKLOAD_CALLS_SCRIPT = """
 import contextlib, io, json, sys
 from fractions import Fraction
