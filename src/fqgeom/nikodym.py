@@ -85,7 +85,8 @@ def verify_nikodym(pset: PointSet):
             on = sp.line_points(dirs, sp.label_points(dirs, label))  # (lines, q)
             new = on[~mask[on]]  # the one complement point of each line
             fresh = ~ok[new]
-            _assign(assignment, ok, new[fresh], dirs[fresh], on[fresh].min(axis=1))
+            _assign(assignment, new[fresh], dirs[fresh], on[fresh].min(axis=1))
+            ok[new] = True
         if ok.all():
             break
     return _nikodym_result(pset, ok, assignment)
@@ -99,45 +100,45 @@ def _nikodym_complement_side(sp, pset):
     pending.  While no point has qualified it labels every point, on the
     label grid."""
     comp = np.flatnonzero(~pset.mask)
-    # the lines through a set point meet only there, so the complement meets
-    # them all only if it has a point on the line of every direction
+    # the lines through a set point meet only there, so all of them meet the
+    # complement only if it has a point for every direction
     ok = pset.mask.copy() if len(comp) < sp.ndirs else np.zeros(sp.npoints, dtype=bool)
     assignment, start = {}, 0
     while start < sp.ndirs:
-        if ok.any():
+        if ok.any():  # the complement, then the set points still pending
             pts = np.concatenate([comp, np.flatnonzero(pset.mask & ~ok)])
             coords, counted = sp.point_coords(pts), slice(len(comp))
-        else:
+        else:  # every point
             pts, coords, counted = np.arange(sp.npoints), None, comp
         pending = len(pts) - len(comp)  # set points without a line
-        need = (~pset.mask[pts]).astype(np.int64)  # 1 at complement points
+        at_comp = ~pset.mask[pts]
+        need = at_comp.astype(np.int64)
         for ids, keys, counts in sp.line_counts(coords, counted, start):
             start = ids[-1] + 1
             good = counts[keys] == need
             fresh = good.any(axis=0) & ~ok[pts]  # qualified in this batch
-            new = np.flatnonzero(fresh & (need == 1))  # complement points assigned here
-            if len(new):
-                dirs = ids[good[:, new].argmax(axis=0)]
-                _assign(assignment, ok, pts[new], dirs, sp.line_points(dirs, pts[new]).min(axis=1))
+            cols = np.flatnonzero(fresh & at_comp)  # complement points assigned here
+            if len(cols):
+                new, dirs = pts[cols], ids[good[:, cols].argmax(axis=0)]
+                _assign(assignment, new, dirs, sp.line_points(dirs, new).min(axis=1))
             ok[pts[fresh]] = True
             if ok.all():  # later directions cannot change ok or the assignment
                 return _nikodym_result(pset, ok, assignment)
-            pending -= np.count_nonzero(fresh) - len(new)
+            pending -= np.count_nonzero(fresh) - len(cols)
             if 2 * pending < len(pts) - len(comp):
                 break
     return _nikodym_result(pset, ok, assignment)
 
 
-def _assign(assignment, ok, points, dirs, bases):
-    """Give each complement point its line of the first of dirs, in
-    (direction, point) order, and mark it settled."""
+def _assign(assignment, points, dirs, bases):
+    """Give each complement point the line (dir, base) of its first
+    direction among dirs, in (direction, point) order."""
     order = np.lexsort((dirs, points))  # by point, then direction
     first = np.ones(len(order), dtype=bool)
     first[1:] = points[order[1:]] != points[order[:-1]]
     keep = order[first]
     keep = keep[np.lexsort((points[keep], dirs[keep]))]
     assignment.update(zip(points[keep].tolist(), zip(dirs[keep].tolist(), bases[keep].tolist())))
-    ok[points] = True
 
 
 def _nikodym_result(pset, ok, assignment):
