@@ -36,8 +36,29 @@ class WrongDegree(ValueError):
     pass
 
 
+class WidthExceeded(ValueError):
+    pass
+
+
 # largest field order; the add, mul and pow tables are q x q
 TABLE_LIMIT = 1 << 10
+
+# the signed integer dtypes that exact array arithmetic runs in, narrowest
+# first; a float64 product is exact while every partial sum stays in 2^53
+INT_WIDTHS = (np.int16, np.int32, np.int64)
+FLOAT_EXACT = 1 << 53
+
+
+def exact_dtype(bound: int, widths=INT_WIDTHS) -> np.dtype:
+    """The first dtype of widths that holds every integer of absolute value
+    at most bound, a proven bound on a computation's intermediate values:
+    an integer dtype up to its largest value, float64 up to FLOAT_EXACT.
+    WidthExceeded, not an assert, when none does."""
+    for dt in map(np.dtype, widths):
+        if bound <= (FLOAT_EXACT if dt.kind == "f" else np.iinfo(dt).max):
+            return dt
+    raise WidthExceeded(f"bound {bound} exceeds every width of "
+                        f"{', '.join(np.dtype(dt).name for dt in widths)}")
 
 
 # the prime bases up to 41 make Miller-Rabin exact below this bound

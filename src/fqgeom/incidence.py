@@ -180,17 +180,29 @@ def mixing_bound_holds(I: int, nP: int, nL: int, q: int) -> bool:
     return slack * slack <= eG * eG * lam2 * X
 
 
+def _discrepancy_sides(I: int, nP: int, nL: int, q: int):
+    """|I/e(G) - alpha*beta| and its bound squared, lam^2*ab(1-a)(1-b)."""
+    alpha, beta, eG, lam2, X = _mixing_pieces(nP, nL, q)
+    return abs(Fraction(I, eG) - alpha * beta), lam2 * X
+
+
+def mixing_discrepancy_holds(I: int, nP: int, nL: int, q: int) -> bool:
+    """Exact decision of |I/e(G) - ab| <= lam*sqrt(ab(1-a)(1-b)), by
+    comparing squared rationals."""
+    lhs, rhs_sq = _discrepancy_sides(I, nP, nL, q)
+    return lhs * lhs <= rhs_sq
+
+
 def mixing_discrepancy_check(P: PointSet, L: LineFamily) -> dict:
     """Both sides of |e(S,T)/e(G) - alpha*beta| <= lam*sqrt(...), exactly.
 
-    Decided by comparing squared rationals; raises AssertionError on
+    Decided by mixing_discrepancy_holds; raises AssertionError on
     violation (which would indicate a counting or spectrum bug)."""
     stats = count_incidences(P, L)
     q = stats.q
-    alpha, beta, eG, lam2, X = _mixing_pieces(stats.n_points, stats.n_lines, q)
-    lhs = abs(Fraction(stats.incidences, eG) - alpha * beta)
-    rhs_sq = lam2 * X
-    holds = lhs * lhs <= rhs_sq
+    args = (stats.incidences, stats.n_points, stats.n_lines, q)
+    lhs, rhs_sq = _discrepancy_sides(*args)
+    holds = mixing_discrepancy_holds(*args)
     if not holds:
         raise AssertionError(f"mixing inequality violated at q={q}: lhs={float(lhs)}, "
                              f"rhs={math.sqrt(float(rhs_sq))}")
@@ -231,6 +243,18 @@ def generate_planes(q: int, count: int, kind: str, seed: int = 0) -> np.ndarray:
     raise ValueError(f"unknown plane generator {kind!r}")
 
 
+def _cover_bound(count: int, q: int, n: int) -> Fraction:
+    """(1 - 1/(k - 1 + 1/k)) * q^n for k = count/q, exact."""
+    k = Fraction(count, q)
+    return (1 - 1 / (k - 1 + 1 / k)) * q ** n
+
+
+def cover_bound_holds(covered: int, count: int, q: int, n: int) -> bool:
+    """Exact decision of covered >= (1 - 1/(k - 1 + 1/k)) * q^n, the cover
+    bound for count = kq planes of AG(3,q) (lines of AG(2,q)), k > 1."""
+    return covered >= _cover_bound(count, q, n)
+
+
 def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -> dict:
     """For kq planes of AG(3,q) (or kq lines of AG(2,q)), check that the
     covered-point count is at least (1 - 1/(k - 1 + 1/k)) * q^n, k > 1
@@ -252,11 +276,8 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
         raise TooFewPlanes(f"need more than q objects, got {len(members)}")
     covered = PointSet(q, sp.n)
     covered.mask[points] = True
-    total = sp.npoints
-    # bound = (1 - 1/(k-1+1/k)) * total, exact
-    denom = k - 1 + 1 / k
-    bound = (1 - 1 / denom) * total
-    holds = Fraction(len(covered)) >= bound
+    bound = _cover_bound(len(members), q, sp.n)
+    holds = cover_bound_holds(len(covered), len(members), q, sp.n)
     if not holds:
         raise AssertionError(f"cover bound violated: {len(covered)} < {float(bound)}")
     return {

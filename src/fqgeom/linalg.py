@@ -1,77 +1,157 @@
 """Exact linear algebra over finite fields.
 
-One elimination routine for every GF(q): Gauss-Jordan elimination on a
-numpy array of element codes, written against the FieldCtx array kernel
-(``vmul``, ``vsubmul``).  Leading axes batch: ``rref`` and ``nullspace``
-take one (r, c) matrix or a stack (..., r, c) of them, and a stack costs
-c array steps, not one Python call per matrix.  A single matrix keeps a
-loop body without the batch axis: on interpolation's systems the stack
-body's per-item indexing took 1.6-1.8x as long.  The reduced row echelon
-form is unique, so the kernel basis read off it does not depend on the
-order of the input rows, nor on whether a matrix came alone or in a stack.
+``rref`` and ``nullspace`` take one (r, c) matrix of element codes or a
+stack (..., r, c) of them.  The reduced row echelon form is unique, so the
+kernel basis read off it does not depend on the order of the input rows, on
+the route the elimination takes, nor on whether a matrix came alone or in a
+stack.  Three routes share the work:
+
+- one matrix over a prime field: Gauss-Jordan elimination with the
+  reduction mod p delayed, as in FFLAS-FFPACK (Dumas-Giorgi-Pernet,
+  arXiv:cs/0601133), on panels of PANEL columns and in the narrowest
+  integer dtype that holds the proven bound on the unreduced entries
+  (``gf.exact_dtype``).  A panel with columns to its right records its row
+  transform, and those columns take it in one float64 BLAS product;
+- a stack: every matrix's pivot in a column at once, in int64, so a stack
+  costs c array steps, not one Python call per matrix;
+- one matrix over GF(p^k), k > 1: one pivot per step through the field's
+  mul, add and neg tables.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, exact_dtype
+
+# columns per panel of the prime-field elimination: the interpolate
+# benchmark's q = 7 systems (at most 188 columns) are one panel, which
+# records no row transform
+PANEL = 256
 
 
 def rref(mat, ctx: FieldCtx):
     """Reduced row echelon form of an (r, c) array of element codes, or of
-    each matrix of a stack (..., r, c); returns (rref, pivots), where
-    pivots is a boolean (..., c) array marking each matrix's pivot columns
-    (its rank is their count).  The input is not modified.
+    each matrix of a stack (..., r, c); returns (rref, pivots), where rref
+    is int64 and pivots is a boolean (..., c) array marking each matrix's
+    pivot columns (its rank is their count).  The input is not modified.
 
     A pivot updates whole columns, from the pivot on (the pivot row is zero
-    to its left), with the multiplier of the pivot row set to 0.  One
-    matrix takes one pivot per step; a stack takes, in each column, every
-    matrix's pivot at once (its first nonzero entry below the rows already
-    pivoted), and a matrix with none there is left as it is.
-    On prime fields the reduction mod p is delayed, as in FFLAS-FFPACK
-    (Dumas-Giorgi-Pernet, arXiv:cs/0601133): a step reduces only the pivot
-    column and row, and the array is reduced once at the end.  An update
-    subtracts a product of two reduced entries, so in each matrix |entry|
-    stays below (p-1) + rank*(p-1)^2: within int64 for p <= TABLE_LIMIT,
+    to its left; one matrix over a prime field stops at its panel's end),
+    with the multiplier of the pivot row set to 0.  One matrix takes one
+    pivot per step; a stack takes, in each column, every matrix's pivot at
+    once (its first nonzero entry below the rows already pivoted), and a
+    matrix with none there is left as it is.
+
+    On prime fields a step reduces only the pivot column and row, and the
+    rest is reduced once, at the end of each panel (of a stack).  A step adds
+    the product of two reduced codes to an entry, and a panel takes at most
+    min(r, c, PANEL) steps from reduced entries, so |entry| stays within
+    (p-1) + min(r, c, PANEL)*(p-1)^2.  The same bound holds the float64
+    product that carries a panel's row transform to the columns on its
+    right: a sum of at most that many products of reduced codes, plus a
+    reduced code.  A stack runs in int64 without panels, and its bound
+    counts the rank, not PANEL: within int64 for p <= TABLE_LIMIT,
     rank < 2^43."""
+    mat = np.asarray(mat)
+    if ctx.k == 1 and mat.ndim == 2:
+        return _rref_prime(mat, ctx.p)
     a = np.array(mat, dtype=np.int64)
     if a.ndim == 2:
-        return a, _rref_one(a, ctx)
+        return a, _rref_tables(a, ctx)
     *lead, rows, cols = a.shape
     stack = a.reshape((int(np.prod(lead)), rows, cols))
     return a, _rref_stack(stack, ctx).reshape(a.shape[:-2] + (cols,))
 
 
-def _rref_one(a, ctx: FieldCtx) -> np.ndarray:
-    """rref's elimination of one matrix, in place; returns its pivot mask."""
+def _rref_prime(mat, p: int):
+    """rref of one (r, c) matrix over GF(p), panel by panel: (int64 rref,
+    pivot mask).  Rows at and below the rank are zero in every column
+    already eliminated, so a row swap moves only the current panel; the
+    columns to its right take the panel's row order and transform at once.
+    The panel's transform changes a row only by multiples of its pivot
+    rows, as they stood when each was picked.  So it is recorded in one
+    extra column per pivot, set to 1 in the pivot row when it is picked,
+    that the panel's steps update with the other columns."""
+    rows, cols = mat.shape
+    bound = (p - 1) + min(rows, cols, PANEL) * (p - 1) ** 2
+    a = np.array(mat, dtype=exact_dtype(bound))
+    if cols > PANEL:
+        exact_dtype(bound, (np.float64,))
+    pivots = np.zeros(cols, dtype=bool)
+    r = 0
+    for c0 in range(0, cols, PANEL):
+        if r == rows:
+            break
+        w = min(PANEL, cols - c0)
+        track = c0 + w < cols
+        r0 = r
+        if track:
+            work = np.zeros((rows, w + min(w, rows - r0)), dtype=a.dtype)
+            work[:, :w] = a[:, c0:c0 + w]
+            order = np.arange(rows)
+        else:
+            work = a[:, c0:]
+        for c in range(w):
+            if r == rows:
+                break
+            # the multipliers, reduced; the column itself reaches multiples
+            # of p, which the panel's last reduction zeroes
+            col = work[:, c] % p
+            if not col[r]:
+                nz = np.flatnonzero(col[r:])
+                if nz.size == 0:
+                    continue
+                pr = r + nz[0]
+                work[[r, pr]] = work[[pr, r]]
+                col[[r, pr]] = col[[pr, r]]
+                if track:
+                    order[[r, pr]] = order[[pr, r]]
+            # the transform's columns past this pivot's are still zero
+            end = w + r - r0 + 1 if track else w
+            if track:
+                work[r, end - 1] = 1
+            row = work[r, c:end]
+            row %= p
+            row *= pow(int(col[r]), -1, p)
+            row %= p
+            col[r] = 0
+            work[:, c:end] -= col[:, None] * row
+            pivots[c0 + c] = True
+            r += 1
+        work %= p
+        if track:
+            a[:, c0:c0 + w] = work[:, :w]
+            if r > r0:
+                rest = a[order, c0 + w:]
+                picked = rest[r0:r].astype(np.float64)
+                rest[r0:r] = 0
+                prod = work[:, w:w + r - r0].astype(np.float64) @ picked
+                prod += rest
+                a[:, c0 + w:] = np.fmod(prod, p, out=prod)
+    return a.astype(np.int64), pivots
+
+
+def _rref_tables(a, ctx: FieldCtx) -> np.ndarray:
+    """rref's elimination of one matrix over GF(p^k), in place, through the
+    field's tables; returns its pivot mask."""
     rows, cols = a.shape
-    lazy = ctx.k == 1
     pivots = np.zeros(cols, dtype=bool)
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        if lazy:
-            a[:, c] %= ctx.p
         nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + nz[0]
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        if lazy:
-            a[r, c:] %= ctx.p
         a[r, c:] = ctx.vmul(a[r, c:], ctx.inv(int(a[r, c])))
         col = a[:, c].copy()
         col[r] = 0
-        if lazy:
-            a[:, c:] -= col[:, None] * a[r, c:]
-        else:
-            a[:, c:] = ctx.vsubmul(a[:, c:], col[:, None], a[r, c:])
+        a[:, c:] = ctx.vsubmul(a[:, c:], col[:, None], a[r, c:])
         pivots[c] = True
         r += 1
-    if lazy:
-        a %= ctx.p
     return pivots
 
 

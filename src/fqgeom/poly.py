@@ -20,7 +20,7 @@ from math import ceil, comb, inf
 
 import numpy as np
 
-from .gf import FieldCtx, field_of_order
+from .gf import FieldCtx, exact_dtype, field_of_order
 from .linalg import nullspace
 
 
@@ -230,8 +230,15 @@ class MultiPoly:
 
 
 # the batched shift takes its points in chunks of at most this many
-# coefficients (32 KB of int64 per array), which bounds its memory at any q
+# coefficients (at most 32 KB per array), which bounds its memory at any q
 _SHIFT_CELLS = 1 << 12
+
+
+def _code_dtype(ctx: FieldCtx, bound: int) -> np.dtype:
+    """The dtype of an array of codes: on prime fields the narrowest that
+    holds bound, a proven bound on its unreduced values; int64 on GF(p^k),
+    k > 1, whose arithmetic reads the field's int64 tables."""
+    return exact_dtype(bound) if ctx.k == 1 else np.dtype(np.int64)
 
 
 def _shifts(g: MultiPoly, pts):
@@ -245,23 +252,27 @@ def _shifts(g: MultiPoly, pts):
     for Taylor shifts", ISSAC 1997)."""
     ctx = g.ctx
     q, n, p = g.basis.q, g.basis.n, ctx.p
-    dense = np.zeros((q,) * n, dtype=np.int64)
+    # on prime fields a contraction sums q products of two reduced codes
+    dt = _code_dtype(ctx, q * (p - 1) ** 2)
+    dense = np.zeros((q,) * n, dtype=dt)
     dense[tuple(np.array(g.basis.exponents, dtype=np.int64).T)] = g.coeffs
     e = np.arange(q)
     # binom(e, j) mod p as prime-subfield codes, indexed [j, e]; 0 for j > e
-    binom = np.array([[comb(ei, j) % p for ei in e] for j in e], dtype=np.int64)
+    binom = np.array([[comb(ei, j) % p for ei in e] for j in e], dtype=dt)
     shift = np.maximum(e[None, :] - e[:, None], 0)
+    powers = ctx.pow_table.astype(dt, copy=False)
     step = max(1, _SHIFT_CELLS // dense.size)
     for lo in range(0, len(pts), step):
         chunk = pts[lo:lo + step]
         h = dense[None]
         # contract the leading coefficient axis with T(a_i); the new axis
         # goes last, so after n steps the axes are back in variable order.
-        # On prime fields a sum of q products below p^2 fits in int64.
+        # einsum returns that order as strides, and it reads a C-ordered
+        # operand several times faster
         for i in range(n):
-            t = ctx.vmul(binom, ctx.pow_table[chunk[:, i, None, None], shift])
+            t = ctx.vmul(binom, powers[chunk[:, i, None, None], shift])
             if ctx.k == 1:
-                h = np.einsum("kje,ke...->k...j", t, h) % p
+                h = np.ascontiguousarray(np.einsum("kje,ke...->k...j", t, h) % p)
                 continue
             t = t.reshape((len(chunk),) + (1,) * (h.ndim - 2) + (q, q))
             acc = 0
@@ -386,23 +397,28 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
     prod binom(alpha_i, beta_i) * a^(alpha-beta), the coefficient of
     x^beta in the shift of x^alpha by a.  Any GF(q): the binomials mod p
     are prime-subfield codes, and powers come from the field's pow table.
-    Only the columns of the first ncols monomials are built (default all)."""
+    Only the columns of the first ncols monomials are built (default all).
+    On prime fields the codes come in the narrowest integer dtype that
+    holds (p-1)^2, int64 otherwise."""
     ctx = ctx if ctx is not None else field_of_order(basis.q)
     p = ctx.p
     q = basis.q
     n = basis.n
     E = np.array(basis.exponents[:ncols], dtype=np.int64)  # ncols x n
+    # on prime fields an entry is a product of two reduced codes
+    dt = _code_dtype(ctx, (p - 1) ** 2)
     # binom(i, j) = 0 for j > i, which zeroes the monomials with alpha_i < beta_i
     binom_tab = np.array(
-        [[comb(i, j) % p for j in range(q)] for i in range(q)], dtype=np.int64
+        [[comb(i, j) % p for j in range(q)] for i in range(q)], dtype=dt
     )
+    powers = ctx.pow_table.astype(dt, copy=False)
     factors = {}  # (i, a_i, beta_i) -> the factor of variable i in every entry
 
     def factor(i, ai, bi):
         f = factors.get((i, ai, bi))
         if f is None:
             ei = E[:, i]
-            f = ctx.vmul(binom_tab[ei, bi], ctx.pow_table[ai, np.maximum(ei - bi, 0)])
+            f = ctx.vmul(binom_tab[ei, bi], powers[ai, np.maximum(ei - bi, 0)])
             factors[(i, ai, bi)] = f
         return f
 
@@ -416,7 +432,7 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
                 row = ctx.vmul(row, factor(i, coords[i], beta[i]))
             rows.append(row)
     if not rows:
-        return np.zeros((0, len(E)), dtype=np.int64)
+        return np.zeros((0, len(E)), dtype=dt)
     return np.vstack(rows)
 
 

@@ -715,3 +715,37 @@ def test_incidence_claim_checks_survive_optimize():
         "spectrum: numeric singular value 1.0 is not 6.244997998398398",
         "phi: q - 1 = 4 does not divide 9",
     ]
+
+
+WIDTH_CHECKS_SCRIPT = """
+import numpy as np
+from fqgeom import gf, linalg, poly
+narrowest = gf.exact_dtype
+linalg.exact_dtype = poly.exact_dtype = lambda bound, widths=gf.INT_WIDTHS: narrowest(
+    bound << 64, widths)
+try:
+    linalg.rref(np.eye(3, dtype=np.int64), gf.field_of_order(5))
+except gf.WidthExceeded as e:
+    print("rref:", e)
+try:
+    poly.interpolate_vanishing([(0, 0, 0)], 1, [], 1, 1, q=5)
+except gf.WidthExceeded as e:
+    print("rows:", e)
+try:
+    narrowest(gf.FLOAT_EXACT + 1, (np.float64,))
+except gf.WidthExceeded as e:
+    print("product:", e)
+"""
+
+
+def test_width_checks_survive_optimize():
+    # an elimination and a constraint matrix whose bound is forced past
+    # int64, and a float64 product past 2^53, are refused under `python -O`
+    # too, where an assert would be stripped
+    proc = python_optimized("-c", WIDTH_CHECKS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        f"rref: bound {(4 + 3 * 4 ** 2) << 64} exceeds every width of int16, int32, int64",
+        f"rows: bound {4 ** 2 << 64} exceeds every width of int16, int32, int64",
+        f"product: bound {2 ** 53 + 1} exceeds every width of float64",
+    ]

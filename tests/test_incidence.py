@@ -1,5 +1,6 @@
 import math
 import random
+from math import isqrt
 
 import pytest
 
@@ -9,6 +10,7 @@ from fqgeom.incidence import (
     OutOfRange,
     TooFewPlanes,
     count_incidences,
+    cover_bound_holds,
     cover_fraction_check,
     generate_planes,
     gram_identity_check,
@@ -16,6 +18,7 @@ from fqgeom.incidence import (
     incidence_spectrum,
     mixing_bound_holds,
     mixing_discrepancy_check,
+    mixing_discrepancy_holds,
     mixing_incidence_bound,
     n_lines,
 )
@@ -169,3 +172,44 @@ def test_cover_too_few():
     for kind in ("pencil", "parallel", "random"):
         with pytest.raises(OutOfRange):
             generate_planes(q, -q, kind)
+
+
+def mixing_window(nP, nL, q):
+    """The least and the greatest incidence count I with
+    |I - nP*nL/q^2| <= sqrt(D), D = (q+1) nP nL (q^3-nP) (N-nL) / (q^4 (q^2+q+1))
+    for N = n_lines(q): the mixing bound multiplied through by e(G), with
+    b*sqrt(D) for b = q^2 floored by isqrt."""
+    a, b = nP * nL, q * q
+    s = isqrt((q + 1) * nP * nL * (q ** 3 - nP) * (n_lines(q) - nL) // (q * q + q + 1))
+    return -((s - a) // b), (a + s) // b
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_mixing_predicates_at_their_boundary(q):
+    """The last passing and the first failing incidence count of the two-
+    sided discrepancy bound and of the one-sided mixing bound, from the
+    closed form in integers."""
+    rng = random.Random(q)
+    for _ in range(20):
+        nP, nL = rng.randint(1, q ** 3 - 1), rng.randint(1, n_lines(q) - 1)
+        lo, hi = mixing_window(nP, nL, q)
+        assert mixing_discrepancy_holds(hi, nP, nL, q)
+        assert not mixing_discrepancy_holds(hi + 1, nP, nL, q)
+        assert mixing_bound_holds(hi, nP, nL, q)
+        assert not mixing_bound_holds(hi + 1, nP, nL, q)
+        assert mixing_discrepancy_holds(lo, nP, nL, q)
+        if lo > 0:
+            assert not mixing_discrepancy_holds(lo - 1, nP, nL, q)
+            assert mixing_bound_holds(lo - 1, nP, nL, q)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cover_predicate_at_its_boundary(n):
+    """The least covered count that passes for count = kq objects is
+    ceil(q^n (count-q)^2 / (count^2 - count*q + q^2)), the bound
+    (1 - 1/(k-1+1/k)) q^n with k = count/q cleared of fractions."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for count in range(q + 1, 4 * q + 1):
+            least = -(-q ** n * (count - q) ** 2 // (count * count - count * q + q * q))
+            assert cover_bound_holds(least, count, q, n)
+            assert not cover_bound_holds(least - 1, count, q, n)

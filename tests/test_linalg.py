@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fqgeom.gf import field_of_order
+from fqgeom import gf, linalg
+from fqgeom.gf import WidthExceeded, exact_dtype, field_of_order
 from fqgeom.linalg import nullspace, rref
 
 QS = [2, 3, 4, 5, 8, 9]
@@ -154,3 +155,121 @@ def test_stack_matches_single_matrices(q):
                 assert np.array_equal(got[:len(kernel)], kernel)
                 assert not got[len(kernel):].any()
         assert np.array_equal(stack, before)
+
+
+def reference_kernel(red, pivots, cols, p):
+    """The kernel basis read off a reference RREF: one row per free column,
+    in increasing order, with 1 there and the negated RREF entries at the
+    pivot columns."""
+    out = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for t, c in enumerate(pivots):
+            v[c] = -red[t][f] % p
+        out.append(v)
+    return out
+
+
+def assert_matches_reference(mat, p):
+    ctx = field_of_order(p)
+    before = mat.copy()
+    want, want_pivots = gauss_jordan(mat.tolist(), p)
+    red, mask = rref(mat, ctx)
+    assert red.dtype == np.int64 and red.tolist() == want
+    assert np.flatnonzero(mask).tolist() == want_pivots
+    kernel = nullspace(mat, ctx)
+    assert kernel.dtype == np.int64
+    assert kernel.tolist() == reference_kernel(want, want_pivots, mat.shape[1], p)
+    assert np.array_equal(mat, before)
+
+
+def test_exact_dtype_boundaries():
+    # the narrowest signed width that holds the bound, up to each width's
+    # largest value; float64 up to 2^53; WidthExceeded past the last width
+    assert exact_dtype(0) == np.int16
+    assert exact_dtype(2 ** 15 - 1) == np.int16
+    assert exact_dtype(2 ** 15) == np.int32
+    assert exact_dtype(2 ** 31 - 1) == np.int32
+    assert exact_dtype(2 ** 31) == np.int64
+    assert exact_dtype(2 ** 63 - 1) == np.int64
+    with pytest.raises(WidthExceeded, match="int16, int32, int64"):
+        exact_dtype(2 ** 63)
+    assert exact_dtype(2 ** 53, (np.float64,)) == np.float64
+    with pytest.raises(WidthExceeded, match="float64"):
+        exact_dtype(2 ** 53 + 1, (np.float64,))
+
+
+@pytest.mark.parametrize("p, rows, width", [
+    (31, 36, np.int16),    # 30 + 36 * 30^2 = 32430 < 2^15
+    (31, 37, np.int32),    # 30 + 37 * 30^2 = 33330 > 2^15
+    (181, 1, np.int16),    # 180 + 180^2 = 32580
+    (181, 2, np.int32),    # 180 + 2 * 180^2 = 64980
+    (13, 227, np.int16),   # 12 + 227 * 12^2 = 32700
+    (13, 228, np.int32),   # 12 + 228 * 12^2 = 32844
+])
+def test_width_at_the_int16_boundary(monkeypatch, p, rows, width):
+    """Matrices whose bound (p-1) + min(r, c)*(p-1)^2 falls just below and
+    just above 2^15 run in int16 and int32, and match Gauss-Jordan.  The
+    bound counts min(r, c), the largest rank; the p = 13 matrices have
+    rank 4, which keeps the reference elimination short."""
+    chosen = []
+
+    def spy(bound, widths=gf.INT_WIDTHS):
+        chosen.append(gf.exact_dtype(bound, widths))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "exact_dtype", spy)
+    rng = np.random.default_rng(p * rows)
+    if p == 13:
+        mat = (rng.integers(0, p, (rows, 4)) @ rng.integers(0, p, (4, rows + 3))) % p
+    else:
+        mat = rng.integers(0, p, (rows, rows + 5))
+    assert_matches_reference(mat, p)
+    assert chosen[0] == width
+
+
+def _wide(p, rows, panel, rng):
+    """A rows x (3*panel + 5) matrix: the first panel has rank at most 2
+    (only rows 0 and 1 are nonzero there), the second is zero, and at the
+    third panel's first column rows 2-5 are zero and row 6 is not, so its
+    first pivot row is swapped up from below the rows pivoted before."""
+    mat = rng.integers(0, p, (rows, 3 * panel + 5))
+    mat[2:, :2 * panel] = 0
+    mat[:2, panel:2 * panel] = 0
+    mat[2:6, 2 * panel] = 0
+    mat[6, 2 * panel] = 1
+    return mat
+
+
+@pytest.mark.parametrize("panel", [8, 256])
+@pytest.mark.parametrize("p", [2, 3, 13, 1021])
+def test_panels_match_gauss_jordan(monkeypatch, p, panel):
+    """Matrices wider than one panel match Gauss-Jordan, at the default
+    panel width and at 8 columns: a rank-deficient panel, an all-zero
+    panel and a row swapped up across a panel boundary (_wide), a first
+    panel that pivots every row while columns remain, and a dependent
+    matrix taller than it is wide."""
+    monkeypatch.setattr(linalg, "PANEL", panel)
+    rng = np.random.default_rng(p + panel)
+    assert_matches_reference(_wide(p, 24, panel, rng), p)
+    assert_matches_reference(rng.integers(0, p, (5, 2 * panel + 3)), p)
+    tall = rng.integers(0, p, (40, 20))
+    tall[:, 10:] = tall[:, :10]
+    assert_matches_reference(tall, p)
+
+
+@pytest.mark.parametrize("p", [2, 7, 13, 1021])
+def test_panels_match_one_panel(monkeypatch, p):
+    """Square and dependent systems over many 8-column panels equal the
+    same systems eliminated as one panel."""
+    rng = np.random.default_rng(p)
+    mats = [rng.integers(0, p, (90, 91)), rng.integers(0, p, (60, 130))]
+    mats.append((rng.integers(0, p, (100, 30)) @ rng.integers(0, p, (30, 101))) % p)
+    ctx = field_of_order(p)
+    monkeypatch.setattr(linalg, "PANEL", 10 ** 6)
+    whole = [rref(m, ctx) for m in mats]
+    monkeypatch.setattr(linalg, "PANEL", 8)
+    for m, (red, mask) in zip(mats, whole):
+        got, got_mask = rref(m, ctx)
+        assert np.array_equal(got, red) and np.array_equal(got_mask, mask)
