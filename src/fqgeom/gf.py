@@ -301,9 +301,8 @@ def prime_power(q: int) -> tuple:
     return p, k
 
 
-@lru_cache(maxsize=None)
 def field_of_order(q: int) -> FieldCtx:
-    """GF(q) for q a prime power (p deduced from q)."""
+    """GF(q) for q a prime power (p deduced from q), cached by make_field."""
     if q > TABLE_LIMIT:  # refused before the trial division for p
         raise DegreeTooLarge(f"field order {q} over {TABLE_LIMIT}")
     return make_field(*prime_power(q))

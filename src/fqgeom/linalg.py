@@ -4,18 +4,18 @@
 stack (..., r, c) of them.  The reduced row echelon form is unique, so the
 kernel basis read off it does not depend on the order of the input rows, on
 the route the elimination takes, nor on whether a matrix came alone or in a
-stack.  Three routes share the work:
+stack.  Two routes share the work:
 
-- one matrix over a prime field: Gauss-Jordan elimination with the
-  reduction mod p delayed, as in FFLAS-FFPACK (Dumas-Giorgi-Pernet,
-  arXiv:cs/0601133), on panels of PANEL columns and in the narrowest
-  integer dtype that holds the proven bound on the unreduced entries
-  (``gf.exact_dtype``).  A panel with columns to its right records its row
-  transform, and those columns take it in one float64 BLAS product;
-- a stack: every matrix's pivot in a column at once, in int64, so a stack
-  costs c array steps, not one Python call per matrix;
-- one matrix over GF(p^k), k > 1: one pivot per step through the field's
-  mul, add and neg tables.
+- one matrix: Gauss-Jordan elimination over GF(p) with the reduction mod p
+  delayed, as in FFLAS-FFPACK (Dumas-Giorgi-Pernet, arXiv:cs/0601133), on
+  panels of PANEL columns in the narrowest integer dtype that holds the
+  proven bound on the unreduced entries (``gf.exact_dtype``), with float64
+  BLAS products carrying each panel to the columns on its right.  A matrix
+  over GF(p^k), k > 1, runs as its expansion over GF(p), as FFLAS-FFPACK
+  runs extension fields on its prime-field kernel;
+- a stack: every matrix's pivot in a column at once, through the field's
+  ``vmul`` and ``vsubmul``, so a stack costs c array steps, not one Python
+  call per matrix.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ import numpy as np
 
 from .gf import FieldCtx, exact_dtype
 
-# columns per panel of the prime-field elimination: the interpolate
-# benchmark's q = 7 systems (at most 188 columns) are one panel, which
-# records no row transform
+# columns per panel of the single-matrix elimination, and per block of a
+# panel's trailing update: the interpolate benchmark's q = 7 systems (at
+# most 188 columns) are one panel, which records no row transform
 PANEL = 256
 
 
@@ -36,42 +36,59 @@ def rref(mat, ctx: FieldCtx):
     pivot columns (its rank is their count).  The input is not modified.
 
     A pivot updates whole columns, from the pivot on (the pivot row is zero
-    to its left; one matrix over a prime field stops at its panel's end),
-    with the multiplier of the pivot row set to 0.  One matrix takes one
-    pivot per step; a stack takes, in each column, every matrix's pivot at
-    once (its first nonzero entry below the rows already pivoted), and a
+    to its left; one matrix stops at its panel's end), with the multiplier
+    of the pivot row set to 0.  One matrix takes one pivot per step; a stack
+    takes, in each column, every matrix's pivot at once (its first nonzero
+    entry below the rows already pivoted), reducing every entry, and a
     matrix with none there is left as it is.
 
-    On prime fields a step reduces only the pivot column and row, and the
-    rest is reduced once, at the end of each panel (of a stack).  A step adds
-    the product of two reduced codes to an entry, and a panel takes at most
-    min(r, c, PANEL) steps from reduced entries, so |entry| stays within
-    (p-1) + min(r, c, PANEL)*(p-1)^2.  The same bound holds the float64
-    product that carries a panel's row transform to the columns on its
-    right: a sum of at most that many products of reduced codes, plus a
-    reduced code.  A stack runs in int64 without panels, and its bound
-    counts the rank, not PANEL: within int64 for p <= TABLE_LIMIT,
-    rank < 2^43."""
+    One matrix over GF(p^k), k > 1, is eliminated as its (rk, ck) expansion
+    over GF(p) (_mul_matrices).  A GF(p^k) row operation is a GF(p) one on
+    blocks of k rows, and the expansion of an rref is an rref, so the GF(p)
+    rref is the expansion of the GF(p^k) one: entry (i, j) is the digits in
+    rows ik..ik+k-1 of column jk, and the pivot mask is every k-th one.
+
+    One matrix reduces only the pivot column and row at a step, and the rest
+    once per panel.  A step adds the product of two reduced codes to an
+    entry, and a panel takes at most min(r, c, PANEL) steps, so |entry|
+    stays within (p-1) + min(r, c, PANEL)*(p-1)^2, r and c those of the
+    expansion on GF(p^k).  So do the float64 products that carry a panel's
+    row transform to the columns on its right: sums of at most that many
+    products of reduced codes, plus a reduced code."""
     mat = np.asarray(mat)
-    if ctx.k == 1 and mat.ndim == 2:
-        return _rref_prime(mat, ctx.p)
-    a = np.array(mat, dtype=np.int64)
-    if a.ndim == 2:
-        return a, _rref_tables(a, ctx)
-    *lead, rows, cols = a.shape
-    stack = a.reshape((int(np.prod(lead)), rows, cols))
-    return a, _rref_stack(stack, ctx).reshape(a.shape[:-2] + (cols,))
+    if mat.ndim != 2:
+        a = np.array(mat, dtype=np.int64)
+        *lead, rows, cols = a.shape
+        stack = a.reshape((int(np.prod(lead)), rows, cols))
+        return a, _rref_stack(stack, ctx).reshape(a.shape[:-2] + (cols,))
+    p, k = ctx.p, ctx.k
+    if k == 1:
+        red, pivots = _rref_prime(mat, p)
+        return red.astype(np.int64), pivots
+    rows, cols = mat.shape
+    expanded = _mul_matrices(ctx)[mat].transpose(0, 2, 1, 3).reshape(rows * k, cols * k)
+    red, pivots = _rref_prime(expanded, p)
+    return sum(red[s::k, ::k].astype(np.int64) * p ** s for s in range(k)), pivots[::k]
+
+
+def _mul_matrices(ctx: FieldCtx) -> np.ndarray:
+    """The (q, k, k) int16 matrices over GF(p) of x -> a*x, a an element
+    code: column t holds the base-p digits of a*x^t, code mul_table[a, p^t]."""
+    powers = ctx.p ** np.arange(ctx.k)
+    images = ctx.mul_table[:, powers]
+    return (images[:, None, :] // powers[:, None] % ctx.p).astype(np.int16)
 
 
 def _rref_prime(mat, p: int):
-    """rref of one (r, c) matrix over GF(p), panel by panel: (int64 rref,
-    pivot mask).  Rows at and below the rank are zero in every column
-    already eliminated, so a row swap moves only the current panel; the
-    columns to its right take the panel's row order and transform at once.
-    The panel's transform changes a row only by multiples of its pivot
-    rows, as they stood when each was picked.  So it is recorded in one
-    extra column per pivot, set to 1 in the pivot row when it is picked,
-    that the panel's steps update with the other columns."""
+    """rref of one (r, c) matrix over GF(p), panel by panel: (rref in the
+    narrowest dtype of its bound, pivot mask).  Rows at and below the rank
+    are zero in every column already eliminated, so a row swap moves only
+    the current panel; the columns to its right take the panel's row order
+    and transform after it, PANEL columns at a time, so no copy of them is
+    wider.  The panel's transform changes a row only by multiples of its
+    pivot rows, as they stood when each was picked.  So it is recorded in
+    one extra column per pivot, set to 1 in the pivot row when it is
+    picked, that the panel's steps update with the other columns."""
     rows, cols = mat.shape
     bound = (p - 1) + min(rows, cols, PANEL) * (p - 1) ** 2
     a = np.array(mat, dtype=exact_dtype(bound))
@@ -122,37 +139,15 @@ def _rref_prime(mat, p: int):
         if track:
             a[:, c0:c0 + w] = work[:, :w]
             if r > r0:
-                rest = a[order, c0 + w:]
-                picked = rest[r0:r].astype(np.float64)
-                rest[r0:r] = 0
-                prod = work[:, w:w + r - r0].astype(np.float64) @ picked
-                prod += rest
-                a[:, c0 + w:] = np.fmod(prod, p, out=prod)
-    return a.astype(np.int64), pivots
-
-
-def _rref_tables(a, ctx: FieldCtx) -> np.ndarray:
-    """rref's elimination of one matrix over GF(p^k), in place, through the
-    field's tables; returns its pivot mask."""
-    rows, cols = a.shape
-    pivots = np.zeros(cols, dtype=bool)
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + nz[0]
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r, c:] = ctx.vmul(a[r, c:], ctx.inv(int(a[r, c])))
-        col = a[:, c].copy()
-        col[r] = 0
-        a[:, c:] = ctx.vsubmul(a[:, c:], col[:, None], a[r, c:])
-        pivots[c] = True
-        r += 1
-    return pivots
+                transform = work[:, w:w + r - r0].astype(np.float64)
+                for b0 in range(c0 + w, cols, PANEL):
+                    rest = a[order, b0:b0 + PANEL]
+                    picked = rest[r0:r].astype(np.float64)
+                    rest[r0:r] = 0
+                    prod = transform @ picked
+                    prod += rest
+                    a[:, b0:b0 + PANEL] = np.fmod(prod, p, out=prod)
+    return a, pivots
 
 
 def _rref_stack(a, ctx: FieldCtx) -> np.ndarray:
@@ -161,7 +156,6 @@ def _rref_stack(a, ctx: FieldCtx) -> np.ndarray:
     no pivot in column c swaps that row with itself, scales it by 1 and
     subtracts a zero column, so the whole stack takes the same steps."""
     items, rows, cols = a.shape
-    lazy = ctx.k == 1
     pivots = np.zeros((items, cols), dtype=bool)
     rank = np.zeros(items, dtype=np.int64)
     every = np.arange(items)
@@ -169,8 +163,6 @@ def _rref_stack(a, ctx: FieldCtx) -> np.ndarray:
         open_rows = rank < rows
         if not open_rows.any():
             break
-        if lazy:
-            a[:, :, c] %= ctx.p
         cand = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
         pr = cand.argmax(axis=1)
         has = cand[every, pr]
@@ -178,21 +170,14 @@ def _rref_stack(a, ctx: FieldCtx) -> np.ndarray:
         pr = np.where(has, pr, r)
         a[every, r], a[every, pr] = a[every, pr], a[every, r]
         row = a[every, r, c:]
-        if lazy:
-            row %= ctx.p
         scale = np.where(has, ctx.inv_table[row[:, 0]], 1)
         row = ctx.vmul(row, scale[:, None])
         a[every, r, c:] = row
         col = np.where(has[:, None], a[:, :, c], 0)
         col[every, r] = 0
-        if lazy:
-            a[:, :, c:] -= col[:, :, None] * row[:, None, :]
-        else:
-            a[:, :, c:] = ctx.vsubmul(a[:, :, c:], col[:, :, None], row[:, None, :])
+        a[:, :, c:] = ctx.vsubmul(a[:, :, c:], col[:, :, None], row[:, None, :])
         pivots[:, c] = has
         rank += has
-    if lazy:
-        a %= ctx.p
     return pivots
 
 

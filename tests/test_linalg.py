@@ -157,6 +157,53 @@ def test_stack_matches_single_matrices(q):
         assert np.array_equal(stack, before)
 
 
+def _extension_matrix(q, rows, cols, rng):
+    """A seeded (rows, cols) matrix over GF(q) with two zero leading
+    columns, a repeated row and a row that is a multiple of another, so
+    its rank falls below min(rows, cols)."""
+    ctx = field_of_order(q)
+    mat = rng.integers(0, q, (rows, cols))
+    mat[:, :2] = 0
+    mat[-1] = mat[0]
+    mat[-2] = ctx.vmul(mat[1], 2)
+    return mat
+
+
+@pytest.mark.parametrize("q, rows, cols", [(4, 150, 300), (8, 100, 100), (9, 140, 141)])
+def test_extension_matches_stack_of_one(q, rows, cols):
+    """One GF(p^k) matrix, eliminated as its expansion over GF(p), equals
+    byte for byte the same matrix run as a stack of one, which stays in the
+    field's tables.  Each expansion (k*rows x k*cols) spans more than one
+    panel, so the trailing update runs."""
+    ctx = field_of_order(q)
+    mat = _extension_matrix(q, rows, cols, np.random.default_rng(q))
+    assert ctx.k * cols > linalg.PANEL
+    before = mat.copy()
+    red, mask = rref(mat, ctx)
+    stack_red, stack_mask = rref(mat[None], ctx)
+    assert red.dtype == stack_red.dtype == np.int64
+    assert red.tobytes() == stack_red[0].tobytes()
+    assert mask.tobytes() == stack_mask[0].tobytes()
+    assert not mask[:2].any() and mask.sum() < min(rows, cols)
+    kernel = nullspace(mat, ctx)
+    assert kernel.tobytes() == nullspace(mat[None], ctx)[0].tobytes()
+    assert not ctx.dot(mat[:, None, :], kernel[None, :, :]).any()
+    assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25])
+def test_mul_matrices_match_scalar_reference(q):
+    """a's k x k matrix over GF(p) times b's digit vector, mod p, gives the
+    digits of a*b from the reference multiplication, for every a and b."""
+    ctx = field_of_order(q)
+    table = linalg._mul_matrices(ctx)
+    assert table.shape == (q, ctx.k, ctx.k)
+    digits = np.array([ctx.decode(b) for b in range(q)])
+    got = np.einsum("ast,bt->abs", table.astype(np.int64), digits) % ctx.p
+    want = [[ctx.decode(ctx._mul_raw(a, b)) for b in range(q)] for a in range(q)]
+    assert got.tolist() == np.array(want).tolist()
+
+
 def reference_kernel(red, pivots, cols, p):
     """The kernel basis read off a reference RREF: one row per free column,
     in increasing order, with 1 there and the negated RREF entries at the
@@ -248,12 +295,14 @@ def test_panels_match_gauss_jordan(monkeypatch, p, panel):
     """Matrices wider than one panel match Gauss-Jordan, at the default
     panel width and at 8 columns: a rank-deficient panel, an all-zero
     panel and a row swapped up across a panel boundary (_wide), a first
-    panel that pivots every row while columns remain, and a dependent
-    matrix taller than it is wide."""
+    panel that pivots every row while columns remain, one whose trailing
+    update ends in a block of one column, and a dependent matrix taller
+    than it is wide."""
     monkeypatch.setattr(linalg, "PANEL", panel)
     rng = np.random.default_rng(p + panel)
     assert_matches_reference(_wide(p, 24, panel, rng), p)
     assert_matches_reference(rng.integers(0, p, (5, 2 * panel + 3)), p)
+    assert_matches_reference(rng.integers(0, p, (5, 2 * panel + 1)), p)
     tall = rng.integers(0, p, (40, 20))
     tall[:, 10:] = tall[:, :10]
     assert_matches_reference(tall, p)
