@@ -6,16 +6,16 @@ kernel basis read off it does not depend on the order of the input rows, on
 the route the elimination takes, nor on whether a matrix came alone or in a
 stack.  Two routes share the work:
 
-- one matrix: Gauss-Jordan elimination over GF(p) with the reduction mod p
-  delayed, as in FFLAS-FFPACK (Dumas-Giorgi-Pernet, arXiv:cs/0601133), on
-  panels of PANEL columns in the narrowest integer dtype that holds the
-  proven bound on the unreduced entries (``gf.exact_dtype``), with float64
-  BLAS products carrying each panel to the columns on its right.  A matrix
-  over GF(p^k), k > 1, runs as its expansion over GF(p), as FFLAS-FFPACK
-  runs extension fields on its prime-field kernel;
-- a stack: every matrix's pivot in a column at once, through the field's
-  ``vmul`` and ``vsubmul``, so a stack costs c array steps, not one Python
-  call per matrix.
+- one matrix over a prime field: Gauss-Jordan elimination with the
+  reduction mod p delayed, as in FFLAS-FFPACK (Dumas-Giorgi-Pernet,
+  arXiv:cs/0601133), on panels of PANEL columns in the narrowest integer
+  dtype that holds the proven bound on the unreduced entries
+  (``gf.exact_dtype``), with float64 BLAS products carrying each panel to
+  the columns on its right;
+- a stack, and one matrix over GF(p^k), k > 1, as a stack of one: every
+  matrix's pivot in a column at once, through the field's ``vmul`` and
+  ``vsubmul``, so a stack costs c array steps, not one Python call per
+  matrix.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .gf import FieldCtx, exact_dtype
 
-# columns per panel of the single-matrix elimination, and per block of a
+# columns per panel of the prime-field elimination, and per block of a
 # panel's trailing update: the interpolate benchmark's q = 7 systems (at
 # most 188 columns) are one panel, which records no row transform
 PANEL = 256
@@ -36,59 +36,39 @@ def rref(mat, ctx: FieldCtx):
     pivot columns (its rank is their count).  The input is not modified.
 
     A pivot updates whole columns, from the pivot on (the pivot row is zero
-    to its left; one matrix stops at its panel's end), with the multiplier
-    of the pivot row set to 0.  One matrix takes one pivot per step; a stack
-    takes, in each column, every matrix's pivot at once (its first nonzero
-    entry below the rows already pivoted), reducing every entry, and a
-    matrix with none there is left as it is.
+    to its left; one matrix over a prime field stops at its panel's end),
+    with the multiplier of the pivot row set to 0.  One matrix over a prime
+    field takes one pivot per step.  A stack, and one matrix over GF(p^k),
+    k > 1, as a stack of one, takes in each column every matrix's pivot at
+    once (its first nonzero entry below the rows already pivoted), reducing
+    every entry, and a matrix with none there is left as it is.
 
-    One matrix over GF(p^k), k > 1, is eliminated as its (rk, ck) expansion
-    over GF(p) (_mul_matrices).  A GF(p^k) row operation is a GF(p) one on
-    blocks of k rows, and the expansion of an rref is an rref, so the GF(p)
-    rref is the expansion of the GF(p^k) one: entry (i, j) is the digits in
-    rows ik..ik+k-1 of column jk, and the pivot mask is every k-th one.
-
-    One matrix reduces only the pivot column and row at a step, and the rest
-    once per panel.  A step adds the product of two reduced codes to an
-    entry, and a panel takes at most min(r, c, PANEL) steps, so |entry|
-    stays within (p-1) + min(r, c, PANEL)*(p-1)^2, r and c those of the
-    expansion on GF(p^k).  So do the float64 products that carry a panel's
-    row transform to the columns on its right: sums of at most that many
-    products of reduced codes, plus a reduced code."""
+    One matrix over a prime field reduces only the pivot column and row at
+    a step, and the rest once per panel.  A step adds the product of two
+    reduced codes to an entry, and a panel takes at most min(r, c, PANEL)
+    steps, so |entry| stays within (p-1) + min(r, c, PANEL)*(p-1)^2.  So do
+    the float64 products that carry a panel's row transform to the columns
+    on its right: sums of at most that many products of reduced codes, plus
+    a reduced code."""
     mat = np.asarray(mat)
-    if mat.ndim != 2:
-        a = np.array(mat, dtype=np.int64)
-        *lead, rows, cols = a.shape
-        stack = a.reshape((int(np.prod(lead)), rows, cols))
-        return a, _rref_stack(stack, ctx).reshape(a.shape[:-2] + (cols,))
-    p, k = ctx.p, ctx.k
-    if k == 1:
-        red, pivots = _rref_prime(mat, p)
-        return red.astype(np.int64), pivots
-    rows, cols = mat.shape
-    expanded = _mul_matrices(ctx)[mat].transpose(0, 2, 1, 3).reshape(rows * k, cols * k)
-    red, pivots = _rref_prime(expanded, p)
-    return sum(red[s::k, ::k].astype(np.int64) * p ** s for s in range(k)), pivots[::k]
-
-
-def _mul_matrices(ctx: FieldCtx) -> np.ndarray:
-    """The (q, k, k) int16 matrices over GF(p) of x -> a*x, a an element
-    code: column t holds the base-p digits of a*x^t, code mul_table[a, p^t]."""
-    powers = ctx.p ** np.arange(ctx.k)
-    images = ctx.mul_table[:, powers]
-    return (images[:, None, :] // powers[:, None] % ctx.p).astype(np.int16)
+    if ctx.k == 1 and mat.ndim == 2:
+        return _rref_prime(mat, ctx.p)
+    a = np.array(mat, dtype=np.int64)
+    *lead, rows, cols = a.shape
+    stack = a.reshape((int(np.prod(lead)), rows, cols))
+    return a, _rref_stack(stack, ctx).reshape(a.shape[:-2] + (cols,))
 
 
 def _rref_prime(mat, p: int):
-    """rref of one (r, c) matrix over GF(p), panel by panel: (rref in the
-    narrowest dtype of its bound, pivot mask).  Rows at and below the rank
-    are zero in every column already eliminated, so a row swap moves only
-    the current panel; the columns to its right take the panel's row order
-    and transform after it, PANEL columns at a time, so no copy of them is
-    wider.  The panel's transform changes a row only by multiples of its
-    pivot rows, as they stood when each was picked.  So it is recorded in
-    one extra column per pivot, set to 1 in the pivot row when it is
-    picked, that the panel's steps update with the other columns."""
+    """rref of one (r, c) matrix over GF(p), panel by panel: (int64 rref,
+    pivot mask).  Rows at and below the rank are zero in every column
+    already eliminated, so a row swap moves only the current panel; the
+    columns to its right take the panel's row order and transform after
+    it, PANEL columns at a time, so no copy of them is wider.  The panel's
+    transform changes a row only by multiples of its pivot rows, as they
+    stood when each was picked.  So it is recorded in one extra column per
+    pivot, set to 1 in the pivot row when it is picked, that the panel's
+    steps update with the other columns."""
     rows, cols = mat.shape
     bound = (p - 1) + min(rows, cols, PANEL) * (p - 1) ** 2
     a = np.array(mat, dtype=exact_dtype(bound))
@@ -147,7 +127,7 @@ def _rref_prime(mat, p: int):
                     prod = transform @ picked
                     prod += rest
                     a[:, b0:b0 + PANEL] = np.fmod(prod, p, out=prod)
-    return a, pivots
+    return a.astype(np.int64), pivots
 
 
 def _rref_stack(a, ctx: FieldCtx) -> np.ndarray:
