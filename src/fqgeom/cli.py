@@ -213,28 +213,24 @@ def cmd_nikodym_harness(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_hermitian_build(args) -> dict:
-    from .hermitian import build_hermitian, identity_hermitian, phi
+    from .hermitian import build_hermitian, phi
 
-    V = build_hermitian(identity_hermitian(args.p, args.n), args.n)
-    expect = phi(args.n, args.p ** 2)
+    V = build_hermitian(args.p, args.n)
+    expect = phi(args.n, V.q)
     npoints = int(V.mask.sum())
-    ok = V.non_degenerate and npoints == expect
     return {"rows": [
         _row("hermitian-build",
              "identity-matrix variety point count matches the closed formula",
-             "pass" if ok else "fail",
-             q=V.q, n=args.n, points=npoints, formula=expect, rank=V.rank),
+             "pass" if npoints == expect else "fail",
+             q=V.q, n=args.n, points=npoints, formula=expect, rank=args.n + 1),
     ]}
 
 
 def cmd_hermitian_tangent(args) -> dict:
-    from .hermitian import (
-        affine_chart_family, build_hermitian, build_tangent_line_family,
-        identity_hermitian,
-    )
+    from .hermitian import affine_chart_family, build_hermitian, build_tangent_line_family
     from .io import save_linefamily
 
-    V = build_hermitian(identity_hermitian(args.p, 3), 3)
+    V = build_hermitian(args.p, 3)
     fam, rep = build_tangent_line_family(V, Fraction(args.alpha), args.seed)
     ok = rep["nL"] == rep["nL_expected"]
     if args.out:
@@ -252,8 +248,10 @@ def cmd_hermitian_tangent(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_incidence_spectrum(args) -> dict:
+    from .gf import prime_power
     from .incidence import gram_identity_check, incidence_spectrum
 
+    prime_power(args.q)  # NonPrime, exit 2, when there is no field of order q
     rep = incidence_spectrum(args.q)
     gram = gram_identity_check(args.q) if args.q <= 5 else None
     ok = gram in (True, None)
@@ -273,8 +271,10 @@ def cmd_incidence_spectrum(args) -> dict:
 
 
 def cmd_incidence_bound(args) -> dict:
+    from .gf import prime_power
     from .incidence import mixing_incidence_bound
 
+    prime_power(args.q)  # NonPrime, exit 2, when there is no field of order q
     rep = mixing_incidence_bound(args.np, args.nl, args.q)
     return {"rows": [
         _row("incidence-bound",
@@ -327,7 +327,7 @@ def cmd_incidence_planes(args) -> dict:
 
 def cmd_suite(args) -> dict:
     from .geom import LineFamily, PointSet, affine_space
-    from .hermitian import build_hermitian, identity_hermitian, phi
+    from .hermitian import build_hermitian, phi
     from .incidence import gram_identity_check, incidence_spectrum, mixing_discrepancy_check
     from .kakeya import (
         KakeyaWitness, build_quadratic_residue_set, integer_multiplicity_bound,
@@ -403,7 +403,7 @@ def cmd_suite(args) -> dict:
                      "pass" if mix_ok else "fail", q=q, draws=20, seed=args.seed))
 
     if max_q >= 4:
-        V = build_hermitian(identity_hermitian(2, 2), 2)
+        V = build_hermitian(2, 2)
         npoints = int(V.mask.sum())
         rows.append(_row("hermitian-count",
                          "plane variety point count matches the closed formula",

@@ -215,13 +215,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         return int(self.inv_table[a])
 
-    def conj(self, a: int) -> int:
-        """Conjugate a -> a^r of GF(r^2), r = sqrt(q) = p^(k/2); WrongDegree
-        for odd k."""
-        if self.k % 2:
-            raise WrongDegree(f"conjugation needs even k, not k = {self.k}")
-        return self.pow(a, self.p ** (self.k // 2))
-
     # -- array kernel: elementwise on numpy arrays of codes, broadcasting --
 
     def dot(self, u, v):
@@ -233,6 +226,13 @@ class FieldCtx:
         for i in range(u.shape[-1]):
             acc = self.add_table[acc, self.mul_table[u[..., i], v[..., i]]]
         return int(acc) if np.ndim(acc) == 0 else acc
+
+    def conj(self, a):
+        """Elementwise conjugate a -> a^r of GF(r^2), r = sqrt(q) = p^(k/2);
+        WrongDegree for odd k."""
+        if self.k % 2:
+            raise WrongDegree(f"conjugation needs even k, not k = {self.k}")
+        return self.pow_table[a, self.p ** (self.k // 2)]
 
     def vmul(self, a, b):
         """Elementwise product a*b."""

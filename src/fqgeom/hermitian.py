@@ -1,11 +1,13 @@
 """Hermitian varieties in PG(n, q) for square q = r^2, r any prime power:
-construction, point enumeration and rank, and the tangent-line families
-used to probe plane-occupancy behaviour of large line sets.
+construction, point enumeration, and the tangent-line families used to
+probe plane-occupancy behaviour of large line sets.
 
-The form x^T H conj(x) is evaluated over the whole point array of
-PG(n, q), conjugation being x -> x^r, and a variety keeps its membership
-mask over point ids.  A line is a sorted row of its q+1 point ids, and
-_meet_sizes counts the variety's points on any number of lines at once.
+The variety is x . conj(x) = 0, conjugation being x -> x^r: the identity
+form, to which every non-degenerate Hermitian form is projectively
+equivalent.  The form is evaluated over the whole point array of
+PG(n, q), and a variety keeps its membership mask over point ids.  A line
+is a sorted row of its q+1 point ids, and _meet_sizes counts the
+variety's points on any number of lines at once.
 """
 from __future__ import annotations
 
@@ -15,13 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .gf import FieldCtx, field_of_order
 from .geom import LineFamily, affine_space, proj_space
-from .linalg import rref
-
-
-class NotHermitian(ValueError):
-    pass
 
 
 class NonSquareField(ValueError):
@@ -37,73 +33,23 @@ class AlphaOutOfRange(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# matrices and varieties
+# varieties
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    ctx: FieldCtx
-    entries: tuple  # (n+1) x (n+1), row-major tuple of tuples
-
-    def __post_init__(self):
-        if self.ctx.k % 2:
-            raise NonSquareField(f"GF({self.ctx.q}) is not a square-order field (k={self.ctx.k})")
-        m = self.entries
-        size = len(m)
-        for row in m:
-            if len(row) != size:
-                raise NotHermitian("matrix is not square")
-        for i in range(size):
-            for j in range(size):
-                if m[i][j] != self.ctx.conj(m[j][i]):
-                    raise NotHermitian(f"entry ({i},{j}) != conj of ({j},{i})")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def apply_conj(self, x):
-        """H * conj(x) for vectors x on the last axis (other axes batch)."""
-        ctx = self.ctx
-        xc = ctx.pow_table[:, _root_q(ctx.q)][np.asarray(x, dtype=np.int64)]
-        return ctx.dot(np.array(self.entries), xc[..., None, :])
-
-
-def identity_hermitian(r: int, n: int) -> HermitianMatrix:
-    """The identity form in PG(n, r^2)."""
-    ctx = field_of_order(r * r)
-    size = n + 1
-    rows = tuple(
-        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-    )
-    return HermitianMatrix(ctx, rows)
-
 
 @dataclass
 class HermitianVariety:
-    H: HermitianMatrix
+    q: int
     n: int
     mask: np.ndarray  # membership, indexed by PG(n, q) point id
-    rank: int
-
-    @property
-    def q(self) -> int:
-        return self.H.ctx.q
-
-    @property
-    def non_degenerate(self) -> bool:
-        return self.rank == self.n + 1
 
 
-def build_hermitian(H: HermitianMatrix, n: int) -> HermitianVariety:
-    """Enumerate the variety {x in PG(n,q) : x^T H conj(x) = 0} and its
-    rank."""
-    if H.size != n + 1:
-        raise NotHermitian(f"matrix size {H.size} does not match n = {n}")
-    ctx = H.ctx
-    pg = proj_space(ctx.q, n)
-    mask = ctx.dot(pg.array, H.apply_conj(pg.array)) == 0
-    return HermitianVariety(H, n, mask, int(rref(H.entries, ctx)[1].sum()))
+def build_hermitian(r: int, n: int) -> HermitianVariety:
+    """The variety {x in PG(n, r^2) : x . conj(x) = 0}; ValueError for a
+    negative n."""
+    if n < 0:
+        raise ValueError(f"n = {n} is negative: PG(n, q) needs n >= 0")
+    pg = proj_space(r * r, n)
+    return HermitianVariety(pg.q, n, pg.ctx.dot(pg.array, pg.ctx.conj(pg.array)) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +91,12 @@ def _meet_sizes(V: HermitianVariety, lines) -> np.ndarray:
 
 
 def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
-    """The q - sqrt(q) lines through non-singular c in V in PG(3,q) meeting
-    V only at c, as (q - sqrt(q), q+1) rows of sorted point ids in the
-    order of their least point other than c.  c is a point on the last
-    axis; leading axes batch, and lead the result.  ValueError for a point
-    off V or a singular one; AssertionError unless each point has exactly
-    q - sqrt(q) tangent lines."""
+    """The q - sqrt(q) lines through c in V in PG(3,q) meeting V only at
+    c, as (q - sqrt(q), q+1) rows of sorted point ids in the order of their
+    least point other than c.  c is a point on the last axis; leading axes
+    batch, and lead the result.  ValueError for a point off V;
+    AssertionError unless each point has exactly q - sqrt(q) tangent
+    lines."""
     q, r = V.q, _root_q(V.q)
     pg = proj_space(q, V.n)
     c = np.asarray(c, dtype=np.int64)
@@ -158,10 +104,9 @@ def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
     off = ~V.mask[pg.ids(pts)]
     if off.any():
         raise ValueError(f"tangent space requires a variety point, got {tuple(pts[off][0].tolist())}")
-    w = V.H.apply_conj(pts)
-    singular = ~w.any(axis=1)
-    if singular.any():
-        raise ValueError(f"singular point {tuple(pts[singular][0].tolist())} has no tangent lines")
+    # the tangent plane at c is x . conj(c) = 0, and conj(c) != 0 as c != 0:
+    # no point of V is singular
+    w = pg.ctx.conj(pts)
     # each line through c in the tangent plane meets the line where that
     # plane cuts x_i = 0, for c_i the leading coordinate of c, once; the
     # meet m is the line's least point other than c: normalized, m + t*c
@@ -202,8 +147,6 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise AlphaOutOfRange(f"alpha = {alpha} outside (0, 1)")
-    if not V.non_degenerate:
-        raise NotHermitian("tangent-line family needs a non-degenerate variety")
     q = V.q
     r = _root_q(q)
     pg = proj_space(q, V.n)

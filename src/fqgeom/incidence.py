@@ -55,10 +55,12 @@ class IncidenceStats:
 
 
 def count_incidences(P: PointSet, L: LineFamily) -> IncidenceStats:
-    """Exact |{(p, l) : p in P, l in L, p on l}|."""
+    """Exact |{(p, l) : p in P, l in L, p on l}| in AG(3,q); MismatchedField
+    for points or lines of any other space."""
     sp = L.space
-    if P.q != sp.q or P.n != sp.n:
-        raise MismatchedField(f"points over q={P.q},n={P.n}; lines over q={sp.q},n={sp.n}")
+    if (P.q, P.n) != (sp.q, sp.n) or sp.n != 3:
+        raise MismatchedField(f"points over q={P.q},n={P.n}; lines over q={sp.q},n={sp.n}; "
+                              "incidences are counted in AG(3,q)")
     total = int(P.mask[sp.line_points(*L.lines.T)].sum())
     return IncidenceStats(sp.q, len(P), len(L), total)
 

@@ -413,15 +413,12 @@ def conjecture_harness(generator: str, q: int, trials: int, seed: int,
 def _hermitian_family(q: int, alpha, seed: int):
     """Affine restriction of a Hermitian tangent-line family: projective
     tangent lines mapped into AG(3,q) through the x0 = 1 chart."""
-    from .hermitian import (
-        affine_chart_family, build_hermitian, build_tangent_line_family,
-        identity_hermitian,
-    )
+    from .hermitian import affine_chart_family, build_hermitian, build_tangent_line_family
 
     r = isqrt(q)
     if r * r != q:
         raise GeneratorInfeasible(f"hermitian generator needs square q, got {q}")
-    V = build_hermitian(identity_hermitian(r, 3), 3)
+    V = build_hermitian(r, 3)
     fam_proj, rep = build_tangent_line_family(V, alpha, seed)
     extra = {"alpha": str(Fraction(alpha)), "uncovered": rep["uncovered_variety_points"],
              "coveredProjective": rep["covered_projective"]}

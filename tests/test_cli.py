@@ -33,6 +33,17 @@ def test_poly_count_non_prime_power_exits_2(capsys):
     assert out == ""
 
 
+# the spectrum and the bound are closed forms in q, but there is no field
+# of order 1, 6 or 10 to take them over
+@pytest.mark.parametrize("q", ["1", "6", "10"])
+@pytest.mark.parametrize("argv", [["spectrum"], ["bound", "--np", "0", "--nl", "0"]],
+                         ids=["spectrum", "bound"])
+def test_incidence_non_prime_power_exits_2(argv, q, capsys):
+    code, out = run(["incidence", *argv, "--q", q], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_conic_family_untabled_field_exits_2(capsys):
     code, out = run(["nikodym", "conic-family", "--q", "1031"], capsys)
     assert code == 2
@@ -228,6 +239,17 @@ def test_incidence_check(tmp_path, capsys):
     assert json.loads(out)["rows"][0]["status"] == "pass"
 
 
+def test_incidence_check_plane_files_exit_2(tmp_path, capsys):
+    # the mixing bound and the incidence cap are those of AG(3,q): files of
+    # AG(2,3) are refused, not judged against them
+    (tmp_path / "a.pts").write_text("3 2 points\n0 0\n1 0\n2 0\n0 1\n")
+    (tmp_path / "b.lines").write_text("3 2 lines\n1 0 0 0\n0 1 0 0\n")
+    code, out = run(["incidence", "check", "--points", str(tmp_path / "a.pts"),
+                     "--lines", str(tmp_path / "b.lines")], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_hermitian_build(capsys):
     code, out = run(["hermitian", "build", "--p", "2", "--n", "2"], capsys)
     assert code == 0
@@ -241,6 +263,13 @@ def test_hermitian_build_composite_root(capsys):
     assert code == 0
     vals = json.loads(out)["rows"][0]["values"]
     assert (vals["q"], vals["points"], vals["formula"], vals["rank"]) == (16, 1105, 1105, 4)
+
+
+def test_hermitian_build_negative_n_exits_2(capsys):
+    assert main(["hermitian", "build", "--p", "2", "--n", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n = -1 is negative" in err
 
 
 def test_harness_records(tmp_path, capsys):

@@ -46,6 +46,9 @@ def test_count_incidences_mismatch():
     fam = LineFamily(sp)
     with pytest.raises(MismatchedField):
         count_incidences(PointSet(5, 3), fam)
+    # the incidence cap and the mixing bound are those of AG(3,q)
+    with pytest.raises(MismatchedField, match="AG\\(3,q\\)"):
+        count_incidences(PointSet(3, 2), LineFamily(affine_space(3, 2)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
