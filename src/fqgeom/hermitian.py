@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .geom import LineFamily, affine_space, proj_space
+from .geom import LineFamily, UnsupportedField, affine_space, proj_space
 
 
 class NonSquareField(ValueError):
@@ -94,9 +94,11 @@ def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
     """The q - sqrt(q) lines through c in V in PG(3,q) meeting V only at
     c, as (q - sqrt(q), q+1) rows of sorted point ids in the order of their
     least point other than c.  c is a point on the last axis; leading axes
-    batch, and lead the result.  ValueError for a point off V;
-    AssertionError unless each point has exactly q - sqrt(q) tangent
-    lines."""
+    batch, and lead the result.  UnsupportedField unless V lies in PG(3,q);
+    ValueError for a point off V; AssertionError unless each point has
+    exactly q - sqrt(q) tangent lines."""
+    if V.n != 3:
+        raise UnsupportedField(f"tangent lines need a variety in PG(3,q), not PG({V.n},q)")
     q, r = V.q, _root_q(V.q)
     pg = proj_space(q, V.n)
     c = np.asarray(c, dtype=np.int64)

@@ -5,7 +5,9 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from fqgeom.geom import proj_space
+import fqgeom.hermitian as hm
+from fqgeom import cli
+from fqgeom.geom import UnsupportedField, proj_space
 from fqgeom.gf import field_of_order
 from fqgeom.hermitian import (
     AlphaOutOfRange,
@@ -149,6 +151,23 @@ def test_tangent_space_rejects_point_off_variety():
         tangent_lines_at(V, [_points(V)[0], off])
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_tangent_lines_refuse_other_dimensions(n, monkeypatch, capsys):
+    """Tangent lines are built in PG(3,q) only: a variety in PG(2,q) or
+    PG(4,q) is refused by name, by both entry points and with exit 2 from
+    the CLI, not with an internal message."""
+    V = build_hermitian(2, n)
+    message = re.escape(f"need a variety in PG(3,q), not PG({n},q)")
+    with pytest.raises(UnsupportedField, match=message):
+        tangent_lines_at(V, _points(V)[0])
+    with pytest.raises(UnsupportedField, match=message):
+        build_tangent_line_family(V, Fraction(1, 2), 1)
+    monkeypatch.setattr(hm, "build_hermitian", lambda r, _: build_hermitian(r, n))
+    argv = ["hermitian", "tangent-family", "--p", "2", "--alpha", "1/2", "--seed", "1"]
+    assert cli.main(argv) == 2
+    assert f"not PG({n},q)" in capsys.readouterr().err
+
+
 def test_family_q4():
     V = build_hermitian(2, 3)
     fam, rep = build_tangent_line_family(V, Fraction(1, 2), seed=3)
@@ -163,8 +182,6 @@ def test_family_q4():
 def test_family_claim_checks_fire(fault, monkeypatch):
     # the family's claims are explicit checks: make one tangent candidate
     # per point meet V twice, or give every point the first point's lines
-    import fqgeom.hermitian as hm
-
     V = build_hermitian(2, 3)
     first = tangent_lines_at(V, _points(V)[0])
     meet_sizes = hm._meet_sizes

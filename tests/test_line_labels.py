@@ -199,6 +199,32 @@ def test_batched_labels_match_single_direction_labels(q, n):
                 assert row.tolist() == single[d][pts].tolist()
 
 
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 2), (9, 3)])
+def test_sweep_batches_lie_in_one_lead_group(q, n, monkeypatch):
+    """From any start and at any bound, line_counts yields every direction
+    once, ascending, in batches of one leading coordinate, with the keys
+    line_labels gives each direction offset by its row, and counts of the
+    counted columns' keys."""
+    sp = affine_space(q, n)
+    pts = sorted(random.Random(q + n).sample(range(sp.npoints), sp.npoints // 3))
+    coords = sp.point_coords(pts)
+    counted = slice(len(pts) // 2)
+    lead = (sp.proj.array != 0).argmax(axis=1)
+    single = sp.line_labels(np.arange(sp.ndirs), coords)
+    for cells in (1, (q - 1) * len(pts), q * len(pts), 1 << 30):
+        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+        for start in (0, 1, q + 2):
+            seen = []
+            for ids, keys, counts in sp.line_counts(coords, counted, start):
+                assert len(set(lead[ids].tolist())) == 1
+                rows = np.arange(len(ids))[:, None] * sp.nlabels
+                assert np.array_equal(keys, single[ids] + rows)
+                assert np.array_equal(counts, np.bincount(
+                    keys[:, counted].ravel(), minlength=len(ids) * sp.nlabels))
+                seen += ids.tolist()
+            assert seen == list(range(start, sp.ndirs))
+
+
 def _outcome(res):
     if isinstance(res, MissingDirections):
         return "missing", res.directions
@@ -213,19 +239,34 @@ SWEEP_CASES = [(q, kind) for q in (3, 4, 5, 7, 8, 9)
                for kind in ("residue", "thin", "empty", "full", "full-minus",
                             "dense-random", "sparse-random")
                if q % 2 or kind not in ("residue", "thin")]
+SWEEP_CASES += [(11, "residue"), (16, "dense-random"), (25, "residue")]
+
+
+def _cell_budgets(pset):
+    """One direction per batch, the default bound, a single batch of all
+    directions, and the bounds that make batches of q - 1 and q directions
+    for each number of points a verifier labels (the set, the complement,
+    every point, or the complement and the set points that verify_kakeya
+    reads): batches that end inside a group of directions with one leading
+    coordinate, and batches that end exactly at its end."""
+    q, size = pset.q, len(pset)
+    comp = q ** 3 - size
+    labelled = {size, comp, q ** 3, comp + min(size, comp * (q - 1) + 1)}
+    return [1, geom.KAKEYA_CELLS, 1 << 30] + [
+        step * max(points, q * q) for points in sorted(labelled) for step in (q - 1, q)]
 
 
 @pytest.mark.parametrize("q,kind", SWEEP_CASES)
 def test_verifiers_ignore_the_cell_bound(q, kind, monkeypatch):
-    """One direction per batch, the default bound and a single batch of all
-    directions give the same outputs, with missing directions ascending."""
+    """Every batch size gives the same outputs, with missing directions
+    ascending."""
     pset = PointSet(q) if kind == "empty" else (
         PointSet.full(q) if kind == "full" else _pointset(q, kind))
     outcomes = []
-    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
+    for cells in _cell_budgets(pset):
         monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
         outcomes.append((_outcome(verify_kakeya(pset)), _outcome(verify_nikodym(pset))))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert all(got == outcomes[0] for got in outcomes)
     (kind_k, found), _ = outcomes[0]
     keys = found if kind_k == "missing" else [d for d, _ in found]
     assert keys == sorted(keys)
