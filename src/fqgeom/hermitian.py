@@ -129,6 +129,12 @@ def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
 # tangent-line families
 # ---------------------------------------------------------------------------
 
+def tangent_cover_holds(uncovered: int, nV: int, nP: int) -> bool:
+    """Exact decision that tangent lines at nP of the nV points of V leave
+    the other nV - nP uncovered: each meets V only at its base point."""
+    return uncovered == nV - nP
+
+
 @dataclass
 class TangentLineFamily:
     V: HermitianVariety
@@ -163,14 +169,10 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
 
     covered = np.zeros(len(pg.array), dtype=bool)
     covered[ids] = True
-    # every point of V \ P must be uncovered: a line of L meets V only at
-    # its base point, which lies in P (and is covered)
     uncovered_variety = int((V.mask & ~covered).sum())
-    if uncovered_variety != len(order) - len(P):
-        raise AssertionError(
-            f"{len(order) - len(P) - uncovered_variety} unsampled variety "
-            "points lie on a tangent line"
-        )
+    if not tangent_cover_holds(uncovered_variety, len(order), len(P)):
+        raise AssertionError(f"{len(order) - len(P) - uncovered_variety} unsampled variety "
+                             "points lie on a tangent line")
 
     # max plane occupancy (reported only): the planes through a line are
     # the points orthogonal to two of its points

@@ -118,23 +118,36 @@ def count_capped_monomials_bruteforce(n: int, q: int, m) -> int:
     return sum(1 for e in product(range(q), repeat=n) if cap.allows_total(sum(e), q))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=None)
 def _basis_exponents(n: int, q: int, a: Fraction, b: Fraction):
+    """The exponent vectors in graded-lex order, as a tuple and as a
+    read-only (len, n) int64 array."""
     top = DegreeCap(a, b).max_total(q)
     exps = [e for e in product(range(q), repeat=n) if sum(e) <= top]
     exps.sort(key=lambda e: (sum(e), e))  # graded-lex
-    return tuple(exps)
+    return tuple(exps), _frozen(np.array(exps, dtype=np.int64).reshape(-1, n))
+
+
+@lru_cache(maxsize=None)
+def _binom_mod_p(rows: int, q: int, p: int) -> np.ndarray:
+    """binom(e, j) mod p, indexed [j, e] for j < rows and e < q; 0 for j > e."""
+    return _frozen(np.array([[comb(e, j) % p for e in range(q)] for j in range(rows)], np.int64))
 
 
 class MonomialBasis:
     """Exponent vectors with individual degree < q, total degree < m*q,
-    in graded-lex order."""
+    in graded-lex order: the list exponents, and the same vectors as the
+    read-only (len, n) int64 array exps that the array routines index."""
 
     def __init__(self, n: int, q: int, m):
-        self.n = n
-        self.q = q
-        self.cap = _as_cap(m)
-        self.exponents = list(_basis_exponents(n, q, self.cap.a, self.cap.b))
+        self.n, self.q, self.cap = n, q, _as_cap(m)
+        exps, self.exps = _basis_exponents(n, q, self.cap.a, self.cap.b)
+        self.exponents = list(exps)
 
     def __len__(self):
         return len(self.exponents)
@@ -213,9 +226,7 @@ class MultiPoly:
     @property
     def total_degree(self):
         nz = np.nonzero(self.coeffs)[0]
-        if nz.size == 0:
-            return -inf
-        return max(sum(self.basis.exponents[i]) for i in nz)
+        return int(self.basis.exps[nz].sum(axis=1).max()) if nz.size else -inf
 
     def evaluate(self, point) -> int:
         ctx = self.ctx
@@ -229,9 +240,10 @@ class MultiPoly:
         return acc
 
 
-# the batched shift takes its points in chunks of at most this many
-# coefficients (at most 32 KB per array), which bounds its memory at any q
-_SHIFT_CELLS = 1 << 12
+# the bytes of one block: the batched shift takes its points, and the
+# constraint assembly its rows, in blocks of at most this many bytes of
+# codes, which bounds their memory at any q
+_BLOCK_BYTES = 1 << 15
 
 
 def _code_dtype(ctx: FieldCtx, bound: int) -> np.dtype:
@@ -241,10 +253,28 @@ def _code_dtype(ctx: FieldCtx, bound: int) -> np.dtype:
     return exact_dtype(bound) if ctx.k == 1 else np.dtype(np.int64)
 
 
+def _as_points(points, q: int, n: int) -> np.ndarray:
+    """points (or one point) as a (k, n) int64 array of codes; ValueError
+    unless every point has n coordinates in [0, q)."""
+    pts = np.array(points, dtype=np.int64, ndmin=2)  # ValueError if ragged
+    if pts.size and (pts.ndim != 2 or pts.shape[1] != n or (pts < 0).any() or (pts >= q).any()):
+        raise ValueError(f"points {points!r:.80} are not all in GF({q})^{n}")
+    return pts.reshape(-1, n)
+
+
+def _taylor(ctx: FieldCtx, dt: np.dtype, rows: int) -> np.ndarray:
+    """The Taylor matrices T(a)[j, e] = binom(e, j) * a^(e-j), the
+    coefficient of x^j in (x+a)^e, for j < rows and e < q, of every a in
+    GF(q), indexed [a, j, e], as codes of dtype dt."""
+    expo = np.maximum(np.arange(ctx.q) - np.arange(rows)[:, None], 0)
+    powers = ctx.pow_table.astype(dt, copy=False)[:, expo]
+    return ctx.vmul(_binom_mod_p(rows, ctx.q, ctx.p).astype(dt), powers)
+
+
 def _shifts(g: MultiPoly, pts):
     """The coefficient tensors of g(x+a), for the points a in the (k, n)
-    array pts, in chunks of at most _SHIFT_CELLS coefficients: yields
-    (index of the chunk's first point, tensors of shape (chunk,) + (q,)*n).
+    array pts, in blocks of _BLOCK_BYTES: yields (index of the chunk's first
+    point, tensors of shape (chunk,) + (q,)*n).
 
     g's dense (q,)*n coefficient tensor is shifted one variable at a time by
     the Taylor matrices T(a_i)[j, e] = binom(e, j) * a_i^(e-j), for every
@@ -255,13 +285,10 @@ def _shifts(g: MultiPoly, pts):
     # on prime fields a contraction sums q products of two reduced codes
     dt = _code_dtype(ctx, q * (p - 1) ** 2)
     dense = np.zeros((q,) * n, dtype=dt)
-    dense[tuple(np.array(g.basis.exponents, dtype=np.int64).T)] = g.coeffs
-    e = np.arange(q)
-    # binom(e, j) mod p as prime-subfield codes, indexed [j, e]; 0 for j > e
-    binom = np.array([[comb(ei, j) % p for ei in e] for j in e], dtype=dt)
-    shift = np.maximum(e[None, :] - e[:, None], 0)
-    powers = ctx.pow_table.astype(dt, copy=False)
-    step = max(1, _SHIFT_CELLS // dense.size)
+    dense[tuple(g.basis.exps.T)] = g.coeffs
+    # q^3 codes, no more than dense for n >= 3
+    taylor = _taylor(ctx, dt, q)
+    step = max(1, _BLOCK_BYTES // dense.nbytes)
     for lo in range(0, len(pts), step):
         chunk = pts[lo:lo + step]
         h = dense[None]
@@ -270,7 +297,7 @@ def _shifts(g: MultiPoly, pts):
         # einsum returns that order as strides, and it reads a C-ordered
         # operand several times faster
         for i in range(n):
-            t = ctx.vmul(binom, powers[chunk[:, i, None, None], shift])
+            t = taylor[chunk[:, i]]
             if ctx.k == 1:
                 h = np.ascontiguousarray(np.einsum("kje,ke...->k...j", t, h) % p)
                 continue
@@ -284,15 +311,17 @@ def _shifts(g: MultiPoly, pts):
 
 def multiplicities(g: MultiPoly, points) -> np.ndarray:
     """Multiplicity of the nonzero polynomial g at each point: the least
-    total degree in the support of g(x+a), with g(x+a) computed in full."""
+    total degree in the support of g(x+a), with g(x+a) computed in full.
+    ValueError for a point outside GF(q)^n."""
     if g.is_zero():
         raise ZeroPolynomial("multiplicity of the zero polynomial")
-    n, top = g.basis.n, g.basis.n * g.basis.q
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, n)
-    degree = np.indices((g.basis.q,) * n).sum(axis=0)
+    q, n = g.basis.q, g.basis.n
+    pts = _as_points(points, q, n)
+    degree, top = np.indices((q,) * n).sum(axis=0), n * q
     out = np.empty(len(pts), dtype=np.int64)
     for lo, h in _shifts(g, pts):
-        least = np.where(h != 0, degree, top).reshape(len(h), -1).min(axis=1)
+        # the degrees in h's dtype, so that the selection is no wider than h
+        least = np.where(h != 0, degree.astype(h.dtype), top).reshape(len(h), -1).min(axis=1)
         out[lo:lo + len(h)] = least
     if (out == top).any():
         raise AssertionError("full shift of a nonzero polynomial vanished")
@@ -338,32 +367,32 @@ def multiplicity_via_full_shift(g: MultiPoly, a):
 def restrict_to_line(g: MultiPoly, a, b) -> UniPoly:
     """g(a + t*b) as a univariate polynomial in t: the coefficient of x^beta
     in g(x+a), times b^beta, goes to t^|beta|.  The sums add element codes
-    digit by digit mod p, which is addition in GF(p^k)."""
-    if not any(b):
-        raise ValueError("direction must be nonzero")
+    digit by digit mod p, which is addition in GF(p^k).  ValueError for a
+    or b outside GF(q)^n, or b = 0."""
     ctx = g.ctx
     q, n, p = g.basis.q, g.basis.n, ctx.p
-    _, h = next(_shifts(g, np.array([a], dtype=np.int64)))
+    a, b = _as_points([a, b], q, n)
+    if not b.any():
+        raise ValueError("direction must be nonzero")
+    _, h = next(_shifts(g, a[None]))
     w = h[0]
     for i, bi in enumerate(b):
         w = ctx.vmul(w, ctx.pow_table[bi].reshape([q if j == i else 1 for j in range(n)]))
     place = p ** np.arange(ctx.k)
-    sums = np.zeros((n * (q - 1) + 1, ctx.k), dtype=np.int64)
-    degree = np.indices(w.shape).sum(axis=0).ravel()
-    np.add.at(sums, degree, w.reshape(-1, 1) // place % p)
-    return UniPoly(ctx, ((sums % p) @ place).tolist())
+    degree = np.indices(w.shape).sum(axis=0).ravel() * p
+    # each digit's sum by degree: the count of each (degree, digit) pair
+    # times the digit
+    sums = np.array([np.bincount(degree + d, minlength=(n * (q - 1) + 1) * p).reshape(-1, p)
+                     @ np.arange(p) for d in (w.reshape(-1, 1) // place % p).T])
+    return UniPoly(ctx, (place @ (sums % p)).tolist())
 
 
 def homogeneous_top(g: MultiPoly) -> MultiPoly:
     """The homogeneous part of top degree d (individual caps carry over)."""
     if g.is_zero():
         raise ZeroPolynomial("homogeneous part of the zero polynomial")
-    d = g.total_degree
-    c = g.coeffs.copy()
-    for i, e in enumerate(g.basis.exponents):
-        if sum(e) != d:
-            c[i] = 0
-    return MultiPoly(g.basis, c, g.ctx)
+    top = g.basis.exps.sum(axis=1) == g.total_degree
+    return MultiPoly(g.basis, np.where(top, g.coeffs, 0), g.ctx)
 
 
 def is_identically_zero_on_space(g: MultiPoly) -> bool:
@@ -390,6 +419,14 @@ def is_identically_zero_on_space(g: MultiPoly) -> bool:
 # interpolation under multiplicity constraints
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _betas(n: int, mult: int) -> np.ndarray:
+    """Every beta with |beta| < mult, by degree and then lexicographically,
+    as a read-only (count, n) int64 array."""
+    betas = sorted((b for b in product(range(mult), repeat=n) if sum(b) < mult), key=sum)
+    return _frozen(np.array(betas, dtype=np.int64).reshape(-1, n))
+
+
 def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
                            ncols=None):
     """Rows of the homogeneous system: one row per (point, beta) with
@@ -399,41 +436,38 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
     are prime-subfield codes, and powers come from the field's pow table.
     Only the columns of the first ncols monomials are built (default all).
     On prime fields the codes come in the narrowest integer dtype that
-    holds (p-1)^2, int64 otherwise."""
+    holds (p-1)^2, int64 otherwise.  ValueError for a point outside GF(q)^n.
+
+    Variable i gives a row the factor F_i[a_i, beta_i] of the table
+    F_i[a, b, :] = binom(E_i, b) * a^(E_i - b), for every a in GF(q) and b
+    below the largest multiplicity, E_i the columns' exponents of x_i: the
+    Taylor matrices T(a) at the columns E_i.  The rows gather and multiply
+    their factors, a block of rows at a time."""
     ctx = ctx if ctx is not None else field_of_order(basis.q)
-    p = ctx.p
-    q = basis.q
-    n = basis.n
-    E = np.array(basis.exponents[:ncols], dtype=np.int64)  # ncols x n
+    p, q, n = ctx.p, basis.q, basis.n
+    E = basis.exps[:ncols]
     # on prime fields an entry is a product of two reduced codes
     dt = _code_dtype(ctx, (p - 1) ** 2)
-    # binom(i, j) = 0 for j > i, which zeroes the monomials with alpha_i < beta_i
-    binom_tab = np.array(
-        [[comb(i, j) % p for j in range(q)] for i in range(q)], dtype=dt
-    )
-    powers = ctx.pow_table.astype(dt, copy=False)
-    factors = {}  # (i, a_i, beta_i) -> the factor of variable i in every entry
-
-    def factor(i, ai, bi):
-        f = factors.get((i, ai, bi))
-        if f is None:
-            ei = E[:, i]
-            f = ctx.vmul(binom_tab[ei, bi], powers[ai, np.maximum(ei - bi, 0)])
-            factors[(i, ai, bi)] = f
-        return f
-
-    rows = []
-    for coords, mult in points_with_mult:
-        # every beta with |beta| < mult, by degree and then lexicographically
-        betas = [b for b in product(range(mult), repeat=n) if sum(b) < mult]
-        for beta in sorted(betas, key=sum):
-            row = factor(0, coords[0], beta[0])
-            for i in range(1, n):
-                row = ctx.vmul(row, factor(i, coords[i], beta[i]))
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, len(E)), dtype=dt)
-    return np.vstack(rows)
+    pts = _as_points([coords for coords, _ in points_with_mult], q, n)
+    betas = [_betas(n, mult) for _, mult in points_with_mult]
+    counts = [len(b) for b in betas]
+    out = np.empty((sum(counts), len(E)), dtype=dt)
+    if not out.size:
+        return out
+    B = np.concatenate(betas)
+    T = _taylor(ctx, dt, B.max() + 1)
+    # F_i[a, b, :] = T(a)[b, E_i], 0 for b > E_i; flattened, the row of
+    # (a, beta) reads row a_i * len(T[0]) + beta_i of each F_i
+    F = [T[:, :, E[:, i]].reshape(-1, len(E)) for i in range(n)]
+    rows = np.repeat(pts, counts, axis=0) * len(T[0]) + B
+    step = max(1, _BLOCK_BYTES // out[0].nbytes)
+    for lo in range(0, len(out), step):
+        block = rows[lo:lo + step]
+        row = F[0].take(block[:, 0], axis=0)
+        for i in range(1, n):
+            row = ctx.vmul(row, F[i].take(block[:, i], axis=0))
+        out[lo:lo + step] = row
+    return out
 
 
 def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
@@ -456,36 +490,30 @@ def interpolate_vanishing(S1, m1: int, S2, m2: int, m, q: int | None = None,
 
     def unpack(S):
         if isinstance(S, PointSet):
-            sp = affine_space(S.q, S.n)
-            return S.q, list(map(tuple, sp.point_coords(S.indices()).T.tolist()))
-        return q, [tuple(int(x) for x in pt) for pt in S or ()]
+            return S.q, affine_space(S.q, S.n).point_coords(S.indices()).T.tolist()
+        return q, list(S or ())
 
-    q1, pts1 = unpack(S1)
-    q2, pts2 = unpack(S2)
+    (q1, pts1), (q2, pts2) = unpack(S1), unpack(S2)
     q = q1 or q2 or q
     if q is None:
         raise ValueError("field order could not be inferred; pass q")
-    if set(pts1) & set(pts2):
+    pts = _as_points(pts1 + pts2, q, n)
+    if set(map(tuple, pts1)) & set(map(tuple, pts2)):
         raise SetsNotDisjoint("S1 and S2 share points")
     basis = MonomialBasis(n, q, m)
     nconstraints = len(pts1) * comb(m1 + n - 1, n) + len(pts2) * comb(m2 + n - 1, n)
     if nconstraints >= len(basis):
-        raise InfeasibleCount(
-            f"{nconstraints} constraints >= {len(basis)} monomials; the "
-            "counting hypothesis does not hold"
-        )
+        raise InfeasibleCount(f"{nconstraints} constraints >= {len(basis)} monomials; "
+                              "the counting hypothesis does not hold")
     ctx = field_of_order(q)
-    constraints = [(c, m1) for c in pts1] + [(c, m2) for c in pts2]
+    mults = [m1] * len(pts1) + [m2] * len(pts2)
     w = nconstraints + 1
     coeffs = np.zeros(len(basis), dtype=np.int64)
-    coeffs[:w] = nullspace(constraint_rows_matrix(basis, constraints, ctx, w), ctx)[0]
+    coeffs[:w] = nullspace(constraint_rows_matrix(basis, list(zip(pts, mults)), ctx, w), ctx)[0]
     g = MultiPoly(basis, coeffs, ctx)
     # re-check every constrained point through the full shift g(x+a), a
     # route that does not read the constraint matrix
-    got = multiplicities(g, [coords for coords, _ in constraints])
-    for (coords, mult), m_at in zip(constraints, got.tolist()):
+    for pt, mult, m_at in zip(pts.tolist(), mults, multiplicities(g, pts).tolist()):
         if m_at < mult:
-            raise AssertionError(
-                f"solver output has multiplicity {m_at} < {mult} at {coords}"
-            )
+            raise AssertionError(f"solver output has multiplicity {m_at} < {mult} at {tuple(pt)}")
     return g

@@ -16,6 +16,7 @@ from fqgeom.hermitian import (
     build_hermitian,
     build_tangent_line_family,
     phi,
+    tangent_cover_holds,
     tangent_lines_at,
 )
 
@@ -178,11 +179,13 @@ def test_family_q4():
     assert rep["uncovered_variety_points"] == 45 - 22
 
 
-@pytest.mark.parametrize("fault", ["count", "shared"])
+@pytest.mark.parametrize("fault", ["count", "shared", "cover"])
 def test_family_claim_checks_fire(fault, monkeypatch):
     # the family's claims are explicit checks: make one tangent candidate
-    # per point meet V twice, or give every point the first point's lines
+    # per point meet V twice, give every point the first point's lines, or
+    # make the first point's last line a secant to an unsampled point of V
     V = build_hermitian(2, 3)
+    pg = proj_space(V.q, V.n)
     first = tangent_lines_at(V, _points(V)[0])
     meet_sizes = hm._meet_sizes
 
@@ -192,14 +195,34 @@ def test_family_claim_checks_fire(fault, monkeypatch):
         sizes[rows, (sizes == 1).argmax(axis=1)] = isqrt(V.q) + 1
         return sizes
 
+    def with_secant(V, c):
+        lines = tangent_lines_at(V, c).copy()
+        unsampled = np.setdiff1d(np.flatnonzero(V.mask), pg.ids(c))[0]
+        lines[0, -1] = pg.line_ids(c[0], pg.array[unsampled])
+        return lines
+
     if fault == "count":
         monkeypatch.setattr(hm, "_meet_sizes", one_less_tangent)
-    else:
+    elif fault == "shared":
         monkeypatch.setattr(hm, "tangent_lines_at", lambda V, c: np.broadcast_to(
             first, np.shape(c)[:-1] + first.shape))
-    with pytest.raises(AssertionError, match={"count": "tangent lines at",
-                                              "shared": "shared"}[fault]):
+    else:
+        monkeypatch.setattr(hm, "tangent_lines_at", with_secant)
+    with pytest.raises(AssertionError, match={"count": "tangent lines at", "shared": "shared",
+                                              "cover": "unsampled variety points"}[fault]):
         build_tangent_line_family(V, Fraction(1, 2), seed=3)
+
+
+def test_tangent_cover_predicate_at_its_boundary():
+    """The last passing and the first failing uncovered counts: exactly
+    nV - nP variety points stay uncovered.  One fewer is an unsampled point
+    on a tangent line, one more a sampled point off its own lines."""
+    for r in (2, 3, 4, 5):
+        nV = phi(3, r * r)
+        for nP in (1, nV // 8, nV // 2, nV - 1):
+            assert tangent_cover_holds(nV - nP, nV, nP)
+            assert not tangent_cover_holds(nV - nP - 1, nV, nP)
+            assert not tangent_cover_holds(nV - nP + 1, nV, nP)
 
 
 def test_family_alpha_range():

@@ -1,13 +1,19 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from itertools import product
 from math import comb, inf
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fqgeom
 from fqgeom import poly
 from fqgeom.gf import field_of_order
 from fqgeom.linalg import nullspace
@@ -139,12 +145,18 @@ def test_multiplicity_routes_agree(q):
         assert multiplicities(g, [a])[0] == multiplicity_via_full_shift(g, a)
 
 
+def code_bytes(q):
+    """The width of the shift's and the assembly's codes: int16 on the
+    prime fields of these tests, int64 on GF(p^k)."""
+    return 2 if field_of_order(q).k == 1 else 8
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_multiplicities_match_full_shift(q, monkeypatch):
     """The batched Taylor shift against the scalar oracle, on seeded random
     polynomials and on interpolants, at constrained and random points.
     Chunks of 4 points, so that every call spans several chunks."""
-    monkeypatch.setattr(poly, "_SHIFT_CELLS", 4 * q ** 3)
+    monkeypatch.setattr(poly, "_BLOCK_BYTES", 4 * q ** 3 * code_bytes(q))
     rng = random.Random(50 + q)
     pool = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
     for m in (1, 2, 3):
@@ -167,6 +179,147 @@ def test_multiplicities_match_full_shift(q, monkeypatch):
     assert multiplicities(g, []).shape == (0,)
     with pytest.raises(ZeroPolynomial):
         multiplicities(MultiPoly(basis, [0] * len(basis)), pts)
+
+
+@pytest.mark.parametrize("q", [7, 4, 9])
+def test_chunked_shift_at_chunk_boundaries(q, monkeypatch):
+    """multiplicities against the scalar oracle, and restrict_to_line
+    against pointwise evaluation, for 1, chunk-1, chunk and chunk+1 points
+    with a budget of 5 points per chunk; the chunks are the budget's."""
+    chunk = 5
+    monkeypatch.setattr(poly, "_BLOCK_BYTES", chunk * q ** 3 * code_bytes(q))
+    sizes = []
+    shifts = poly._shifts
+
+    def spy(g, pts):
+        for lo, h in shifts(g, pts):
+            sizes.append(len(h))
+            yield lo, h
+
+    monkeypatch.setattr(poly, "_shifts", spy)
+    ctx = field_of_order(q)
+    rng = random.Random(q)
+    pool = list(product(range(q), repeat=3))
+    basis = MonomialBasis(3, q, 2)
+    for npts in (1, chunk - 1, chunk, chunk + 1):
+        g = random_poly(basis, rng, terms=12)
+        pts = rng.sample(pool, npts)
+        sizes.clear()
+        assert multiplicities(g, pts).tolist() == [multiplicity_via_full_shift(g, a) for a in pts]
+        assert sizes == [chunk] * (npts // chunk) + [npts % chunk] * (npts % chunk > 0)
+        a, b = pts[0], pts[-1] if any(pts[-1]) else (1, 1, 1)
+        f = restrict_to_line(g, a, b)
+        for t in range(q):
+            pt = tuple(ctx.add(ai, ctx.mul(t, bi)) for ai, bi in zip(a, b))
+            assert f.evaluate(t) == g.evaluate(pt)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_points_outside_the_space_are_refused(q):
+    """A coordinate outside [0, q) or a point of the wrong length is a
+    ValueError at every entry point, never an index into a table: -1 would
+    read the last row of the power table."""
+    basis = MonomialBasis(3, q, 2)
+    g = random_poly(basis, random.Random(q))
+    for bad in ((q, 0, 0), (0, 0), (-1, 0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="not all in GF"):
+            interpolate_vanishing([bad], 1, [], 1, 2, q=q)
+        with pytest.raises(ValueError, match="not all in GF"):
+            multiplicities(g, [bad, bad])
+        with pytest.raises(ValueError, match="not all in GF"):
+            poly.constraint_rows_matrix(basis, [(bad, 2)])
+        # beside a point of length 3, a point of another length is ragged
+        for route in (lambda pts: interpolate_vanishing(pts, 1, [], 1, 2, q=q),
+                      lambda pts: multiplicities(g, pts),
+                      lambda pts: poly.constraint_rows_matrix(basis, [(p, 1) for p in pts]),
+                      lambda pts: restrict_to_line(g, *pts),
+                      lambda pts: restrict_to_line(g, *pts[::-1])):
+            with pytest.raises(ValueError):
+                route([(1, 1, 1), bad])
+    # one point alone is still a list of one point
+    assert multiplicities(g, (1, 2, 3)).tolist() == [multiplicity_via_full_shift(g, (1, 2, 3))]
+
+
+def reference_rows(basis, points_with_mult, ctx, ncols=None):
+    """The constraint rows entry by entry with the scalar field operations:
+    prod_i binom(alpha_i, beta_i) * a_i^(alpha_i - beta_i)."""
+    rows = []
+    for a, mult in points_with_mult:
+        betas = sorted((b for b in product(range(mult), repeat=basis.n) if sum(b) < mult), key=sum)
+        for beta in betas:
+            row = []
+            for alpha in basis.exponents[:ncols]:
+                v = 1
+                for ai, al, be in zip(a, alpha, beta):
+                    w = comb(al, be) % ctx.p
+                    v = ctx.mul(v, ctx.mul(w, ctx.pow(ai, al - be))) if w else 0
+                row.append(v)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9])
+def test_constraint_rows_match_scalar_reference(q, monkeypatch):
+    """The assembled matrix equals the per-entry scalar reference byte for
+    byte, in int16 on prime fields and int64 on GF(p^k), for mixed
+    multiplicities 1-3 (above q at q = 2), column prefixes, the empty point
+    list, and row blocks of 1 and 3 rows, which end inside a point's rows."""
+    ctx = field_of_order(q)
+    dt = np.int16 if ctx.k == 1 else np.int64
+    rng = random.Random(q)
+    pool = list(product(range(q), repeat=3))
+    basis = MonomialBasis(3, q, 3)
+    cons = [(a, rng.choice((1, 2, 3))) for a in rng.sample(pool, min(8, len(pool)))]
+    for ncols in (None, 1, len(basis) // 2):
+        width = len(basis.exponents[:ncols])
+        ref = np.array(reference_rows(basis, cons, ctx, ncols), dtype=dt)
+        for rows_per_block in (1, 3, None):
+            if rows_per_block:
+                monkeypatch.setattr(poly, "_BLOCK_BYTES", rows_per_block * width * code_bytes(q))
+            else:
+                monkeypatch.undo()
+            got = poly.constraint_rows_matrix(basis, cons, ctx, ncols)
+            assert got.dtype == dt and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (q, ncols, rows_per_block)
+        empty = poly.constraint_rows_matrix(basis, [], ctx, ncols)
+        assert empty.dtype == dt and empty.shape == (0, width)
+
+
+_ASSEMBLY_CHILD = textwrap.dedent("""
+    import json, random
+    from fqgeom import poly
+    from fqgeom.gf import field_of_order
+
+    def status(key):
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+    q = 13
+    ctx, basis = field_of_order(q), poly.MonomialBasis(3, q, 2)
+    pool = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+    cons = [(pt, 2) for pt in random.Random(q).sample(pool, 472)]
+    poly.constraint_rows_matrix(basis, cons[:2], ctx, 1889)  # warm the caches
+    # VmHWM is this process's own peak, which ru_maxrss is not: it carries
+    # the peak of the process that forked it across exec
+    before = status("VmRSS")
+    m = poly.constraint_rows_matrix(basis, cons, ctx, 1889)
+    print(json.dumps({"shape": m.shape, "dtype": str(m.dtype), "nbytes": m.nbytes,
+                      "grown_kb": status("VmHWM") - before}))
+""")
+
+
+def test_assembly_memory_bound():
+    """The seeded q = 13, m = 2 system (472 points, 1888 x 1889 in int16)
+    grows the process's peak by less than 1.5 times the matrix: the rows
+    are filled in place, a block at a time, with no list of rows to stack."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ASSEMBLY_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["shape"] == [1888, 1889] and out["dtype"] == "int16"
+    assert out["grown_kb"] * 1024 < 1.5 * out["nbytes"]
 
 
 @pytest.mark.parametrize("drop, where", [(0, "0 < 2 at (0, 0, 0)"),
@@ -232,6 +385,9 @@ def test_interpolate_small():
     assert multiplicities(g, [(1, 1, 1)])[0] >= 2
     assert multiplicities(g, [(2, 1, 0)])[0] >= 1
     assert not g.is_zero()
+    # a multiplicity above q: its beta_i reach q, past every exponent
+    g = interpolate_vanishing([(1, 2, 0)], 4, [], 1, 3, q=3)
+    assert multiplicities(g, [(1, 2, 0)])[0] >= 4
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
