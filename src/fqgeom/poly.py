@@ -213,6 +213,8 @@ class MultiPoly:
         if len(self.coeffs) != len(basis):
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for {len(basis)} basis monomials")
+        if ((self.coeffs < 0) | (self.coeffs >= basis.q)).any():
+            raise ValueError(f"coefficients are not all in GF({basis.q})")
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -242,15 +244,8 @@ class MultiPoly:
 
 # the bytes of one block: the batched shift takes its points, and the
 # constraint assembly its rows, in blocks of at most this many bytes of
-# codes, which bounds their memory at any q
+# codes (of digits, in the shift), which bounds their memory at any q
 _BLOCK_BYTES = 1 << 15
-
-
-def _code_dtype(ctx: FieldCtx, bound: int) -> np.dtype:
-    """The dtype of an array of codes: on prime fields the narrowest that
-    holds bound, a proven bound on its unreduced values; int64 on GF(p^k),
-    k > 1, whose arithmetic reads the field's int64 tables."""
-    return exact_dtype(bound) if ctx.k == 1 else np.dtype(np.int64)
 
 
 def _as_points(points, q: int, n: int) -> np.ndarray:
@@ -268,44 +263,63 @@ def _taylor(ctx: FieldCtx, dt: np.dtype, rows: int) -> np.ndarray:
     GF(q), indexed [a, j, e], as codes of dtype dt."""
     expo = np.maximum(np.arange(ctx.q) - np.arange(rows)[:, None], 0)
     powers = ctx.pow_table.astype(dt, copy=False)[:, expo]
-    return ctx.vmul(_binom_mod_p(rows, ctx.q, ctx.p).astype(dt), powers)
+    return ctx.vmul(_binom_mod_p(rows, ctx.q, ctx.p).astype(dt), powers).astype(dt, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(ctx: FieldCtx, dt: np.dtype):
+    """GF(q) as k-dimensional vectors over GF(p), in dtype dt: digits[c, d],
+    the base-p digits of each code c, and blocks[c, d, f], the k x k matrix
+    over GF(p) of x -> c*x, whose column f holds the digits of c * p^f (p^f
+    is the code of the basis element x^f).  Read-only."""
+    p, k = ctx.p, ctx.k
+    place = p ** np.arange(k)
+    digits = np.arange(ctx.q)[:, None] // place % p
+    blocks = digits[ctx.mul_table[:, place]].transpose(0, 2, 1)
+    return _frozen(digits.astype(dt)), _frozen(np.ascontiguousarray(blocks, dtype=dt))
 
 
 def _shifts(g: MultiPoly, pts):
-    """The coefficient tensors of g(x+a), for the points a in the (k, n)
-    array pts, in blocks of _BLOCK_BYTES: yields (index of the chunk's first
-    point, tensors of shape (chunk,) + (q,)*n).
+    """The coefficient tensors of g(x+a), for the points a in the rows of
+    the int64 array pts, in blocks of _BLOCK_BYTES: yields (index of the
+    chunk's first point, tensors of shape (chunk, k) + (q,)*n), each
+    coefficient of GF(p^k) as its k base-p digits along axis 1.
 
     g's dense (q,)*n coefficient tensor is shifted one variable at a time by
     the Taylor matrices T(a_i)[j, e] = binom(e, j) * a_i^(e-j), for every
     point of a chunk at once (von zur Gathen and Gerhard, "Fast algorithms
-    for Taylor shifts", ISSAC 1997)."""
+    for Taylor shifts", ISSAC 1997).  Over GF(p^k) a coefficient is its
+    vector of k digits over GF(p) and a Taylor entry the k x k block of its
+    multiplication, so one integer contraction over (digit, e), with one
+    reduction mod p, shifts a variable over any field; on prime fields the
+    digit axes have length 1."""
     ctx = g.ctx
-    q, n, p = g.basis.q, g.basis.n, ctx.p
-    # on prime fields a contraction sums q products of two reduced codes
-    dt = _code_dtype(ctx, q * (p - 1) ** 2)
-    dense = np.zeros((q,) * n, dtype=dt)
-    dense[tuple(g.basis.exps.T)] = g.coeffs
+    q, n, p, k = g.basis.q, g.basis.n, ctx.p, ctx.k
+    # a contraction sums q*k products of two digits
+    dt = exact_dtype(q * k * (p - 1) ** 2)
+    digits, blocks = _digit_tables(ctx, dt)
+    dense = np.zeros((k,) + (q,) * n, dtype=dt)
+    dense[(slice(None),) + tuple(g.basis.exps.T)] = digits[g.coeffs].T
     # q^3 codes, no more than dense for n >= 3
     taylor = _taylor(ctx, dt, q)
+    if k == 1:  # the codes are their own 1 x 1 blocks
+        taylor = taylor[:, :, None, None]
     step = max(1, _BLOCK_BYTES // dense.nbytes)
     for lo in range(0, len(pts), step):
         chunk = pts[lo:lo + step]
         h = dense[None]
-        # contract the leading coefficient axis with T(a_i); the new axis
-        # goes last, so after n steps the axes are back in variable order.
-        # einsum returns that order as strides, and it reads a C-ordered
-        # operand several times faster
+        # contract the digit axis and the leading coefficient axis with
+        # T(a_i); the new coefficient axis goes last, so after n steps the
+        # axes are back in variable order.  einsum returns that order as
+        # strides, and it reads C-ordered operands, with the summed
+        # coefficient axis last in T, several times faster
         for i in range(n):
             t = taylor[chunk[:, i]]
-            if ctx.k == 1:
-                h = np.ascontiguousarray(np.einsum("kje,ke...->k...j", t, h) % p)
-                continue
-            t = t.reshape((len(chunk),) + (1,) * (h.ndim - 2) + (q, q))
-            acc = 0
-            for c in range(q):
-                acc = ctx.add_table[acc, ctx.vmul(h[:, c, ..., None], t[..., c])]
-            h = acc
+            if k > 1:  # the blocks of this chunk's T(a_i) only
+                t = np.ascontiguousarray(blocks[t].transpose(0, 1, 3, 4, 2))
+            # reduced in place, and the old h let go before the copy
+            h = np.einsum("kjdfe,kfe...->kd...j", t, h)
+            h = np.ascontiguousarray(np.remainder(h, p, out=h))
         yield lo, h
 
 
@@ -320,9 +334,11 @@ def multiplicities(g: MultiPoly, points) -> np.ndarray:
     degree, top = np.indices((q,) * n).sum(axis=0), n * q
     out = np.empty(len(pts), dtype=np.int64)
     for lo, h in _shifts(g, pts):
-        # the degrees in h's dtype, so that the selection is no wider than h
-        least = np.where(h != 0, degree.astype(h.dtype), top).reshape(len(h), -1).min(axis=1)
+        # a coefficient is nonzero when any of its digits is; the degrees
+        # in h's dtype, so that the selection is no wider than h
+        least = np.where(h.any(axis=1), degree.astype(h.dtype), top).reshape(len(h), -1).min(axis=1)
         out[lo:lo + len(h)] = least
+        del h  # not held while the next chunk is shifted
     if (out == top).any():
         raise AssertionError("full shift of a nonzero polynomial vanished")
     return out
@@ -375,10 +391,10 @@ def restrict_to_line(g: MultiPoly, a, b) -> UniPoly:
     if not b.any():
         raise ValueError("direction must be nonzero")
     _, h = next(_shifts(g, a[None]))
-    w = h[0]
+    place = p ** np.arange(ctx.k)
+    w = (place @ h[0].reshape(ctx.k, -1)).reshape((q,) * n)  # the digits re-encoded as codes
     for i, bi in enumerate(b):
         w = ctx.vmul(w, ctx.pow_table[bi].reshape([q if j == i else 1 for j in range(n)]))
-    place = p ** np.arange(ctx.k)
     degree = np.indices(w.shape).sum(axis=0).ravel() * p
     # each digit's sum by degree: the count of each (degree, digit) pair
     # times the digit
@@ -446,8 +462,9 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
     ctx = ctx if ctx is not None else field_of_order(basis.q)
     p, q, n = ctx.p, basis.q, basis.n
     E = basis.exps[:ncols]
-    # on prime fields an entry is a product of two reduced codes
-    dt = _code_dtype(ctx, (p - 1) ** 2)
+    # on prime fields an entry is a product of two reduced codes; GF(p^k)
+    # codes index the field's int64 tables
+    dt = exact_dtype((p - 1) ** 2) if ctx.k == 1 else np.dtype(np.int64)
     pts = _as_points([coords for coords, _ in points_with_mult], q, n)
     betas = [_betas(n, mult) for _, mult in points_with_mult]
     counts = [len(b) for b in betas]

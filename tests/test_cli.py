@@ -761,6 +761,11 @@ try:
 except gf.WidthExceeded as e:
     print("rows:", e)
 try:
+    basis = poly.MonomialBasis(3, 9, 1)
+    poly.multiplicities(poly.MultiPoly(basis, [1] * len(basis)), [(0, 0, 0)])
+except gf.WidthExceeded as e:
+    print("shift:", e)
+try:
     narrowest(gf.FLOAT_EXACT + 1, (np.float64,))
 except gf.WidthExceeded as e:
     print("product:", e)
@@ -768,13 +773,14 @@ except gf.WidthExceeded as e:
 
 
 def test_width_checks_survive_optimize():
-    # an elimination and a constraint matrix whose bound is forced past
-    # int64, and a float64 product past 2^53, are refused under `python -O`
-    # too, where an assert would be stripped
+    # an elimination, a constraint matrix and a GF(9) Taylor shift whose
+    # bound is forced past int64, and a float64 product past 2^53, are
+    # refused under `python -O` too, where an assert would be stripped
     proc = python_optimized("-c", WIDTH_CHECKS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
         f"rref: bound {(4 + 3 * 4 ** 2) << 64} exceeds every width of int16, int32, int64",
         f"rows: bound {4 ** 2 << 64} exceeds every width of int16, int32, int64",
+        f"shift: bound {9 * 2 * 2 ** 2 << 64} exceeds every width of int16, int32, int64",
         f"product: bound {2 ** 53 + 1} exceeds every width of float64",
     ]

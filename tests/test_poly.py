@@ -146,12 +146,12 @@ def test_multiplicity_routes_agree(q):
 
 
 def code_bytes(q):
-    """The width of the shift's and the assembly's codes: int16 on the
-    prime fields of these tests, int64 on GF(p^k)."""
-    return 2 if field_of_order(q).k == 1 else 8
+    """The width of one coefficient in the shift: its k base-p digits, in
+    int16 at every q of these tests."""
+    return 2 * field_of_order(q).k
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
 def test_multiplicities_match_full_shift(q, monkeypatch):
     """The batched Taylor shift against the scalar oracle, on seeded random
     polynomials and on interpolants, at constrained and random points.
@@ -275,7 +275,7 @@ def test_constraint_rows_match_scalar_reference(q, monkeypatch):
         ref = np.array(reference_rows(basis, cons, ctx, ncols), dtype=dt)
         for rows_per_block in (1, 3, None):
             if rows_per_block:
-                monkeypatch.setattr(poly, "_BLOCK_BYTES", rows_per_block * width * code_bytes(q))
+                monkeypatch.setattr(poly, "_BLOCK_BYTES", rows_per_block * width * ref.itemsize)
             else:
                 monkeypatch.undo()
             got = poly.constraint_rows_matrix(basis, cons, ctx, ncols)
@@ -322,6 +322,47 @@ def test_assembly_memory_bound():
     assert out["grown_kb"] * 1024 < 1.5 * out["nbytes"]
 
 
+_SHIFT_CHILD = textwrap.dedent("""
+    import json, random
+    from fqgeom import poly
+    from fqgeom.gf import field_of_order
+
+    def status(key):
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+    def seeded(q, rng):
+        basis = poly.MonomialBasis(3, q, 1)
+        coeffs = [0] * len(basis)
+        for _ in range(40):
+            coeffs[rng.randrange(len(basis))] = rng.randrange(1, q)
+        return poly.MultiPoly(basis, coeffs, field_of_order(q))
+
+    rng = random.Random(64)
+    poly.multiplicities(seeded(4, rng), [(1, 2, 3)])  # warm numpy's loops
+    g = seeded(64, rng)
+    pts = [tuple(rng.randrange(64) for _ in range(3)) for _ in range(3)]
+    before = status("VmRSS")
+    poly.multiplicities(g, pts)
+    print(json.dumps({"dense_bytes": 6 * 64 ** 3 * 2, "grown_kb": status("VmHWM") - before}))
+""")
+
+
+def test_extension_shift_memory_bound():
+    """Re-checking 3 points of a seeded GF(64) polynomial grows the
+    process's peak by less than 6 times g's dense digit tensor (6 digits of
+    int16 per coefficient, 3 MB): the k x k blocks of the Taylor matrices
+    are gathered a chunk at a time.  Blocks for every a in GF(64) at once
+    would take 6 times the dense tensor by themselves."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SHIFT_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["grown_kb"] * 1024 < 6 * out["dense_bytes"]
+
+
 @pytest.mark.parametrize("drop, where", [(0, "0 < 2 at (0, 0, 0)"),
                                          (-1, "0 < 1 at (1, 2, 3)")],
                          ids=["first-row", "last-row"])
@@ -335,7 +376,7 @@ def test_recheck_does_not_trust_constraint_matrix(monkeypatch, drop, where):
         interpolate_vanishing([(0, 0, 0)], 2, [(1, 2, 3)], 1, 2, q=5)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16, 25, 27, 32])
 def test_restriction_evaluates_like_g(q):
     rng = random.Random(10 + q)
     basis = MonomialBasis(3, q, 3)
@@ -413,6 +454,18 @@ def test_multipoly_refuses_wrong_length():
     for n in (len(basis) - 1, len(basis) + 1, 0):
         with pytest.raises(ValueError, match="coefficients for 26 basis monomials"):
             MultiPoly(basis, [1] * n)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_multipoly_refuses_codes_outside_the_field(q):
+    """A coefficient outside [0, q) is a ValueError, as a point outside the
+    space is, never an index into a table: -1 would read the last row."""
+    basis = MonomialBasis(3, q, 2)
+    for bad in (q, -1):
+        coeffs = [0] * len(basis)
+        coeffs[0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"not all in GF({q})")):
+            MultiPoly(basis, coeffs)
 
 
 def test_degree_cap_violation_detected():
