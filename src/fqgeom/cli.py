@@ -55,6 +55,16 @@ def _finish(report: dict, args, start: float) -> int:
     return 1 if failed else 0
 
 
+def _fraction(text: str) -> str:
+    """The text of a rational flag, unchanged so that reports echo it, once
+    Fraction reads it; exit 2 when it cannot, a zero denominator too."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
+    return text
+
+
 def _config_echo(args) -> dict:
     skip = {"func"}
     return {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip}
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = poly.add_parser("count", parents=[common])
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--q", type=int, required=True)
-    pc.add_argument("--m", required=True)
+    pc.add_argument("--m", type=_fraction, required=True)
     pc.set_defaults(func=cmd_poly_count)
 
     kk = sub.add_parser("kakeya").add_subparsers(dest="sub", required=True)
@@ -454,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kk.add_parser("pipeline", parents=[common])
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--construction", default="qr")
     p.set_defaults(func=cmd_kakeya_pipeline)
@@ -468,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_nikodym_verify)
     c = nk.add_parser("conic-family", parents=[common])
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--fraction", default="0.62")
+    c.add_argument("--fraction", type=_fraction, default="0.62")
     c.set_defaults(func=cmd_nikodym_conic)
     t = nk.add_parser("threshold", parents=[common])
     t.set_defaults(func=cmd_nikodym_threshold)
@@ -478,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--q", type=int, required=True)
     h.add_argument("--trials", type=int, default=10)
     h.add_argument("--seed", type=int, required=True)
-    h.add_argument("--alpha", default="0.5")
+    h.add_argument("--alpha", type=_fraction, default="0.5")
     h.add_argument("--lines", type=int)
     h.add_argument("--plane-cap", type=int)
     h.add_argument("--alarm-ratio", type=float, default=0.9)
@@ -492,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_hermitian_build)
     t = hm.add_parser("tangent-family", parents=[common])
     t.add_argument("--p", type=int, required=True)
-    t.add_argument("--alpha", default="0.5")
+    t.add_argument("--alpha", type=_fraction, default="0.5")
     t.add_argument("--seed", type=int, required=True)
     t.add_argument("--out")
     t.set_defaults(func=cmd_hermitian_tangent)

@@ -27,7 +27,7 @@ lines in closed form.
 
 AffineSpace.line_counts builds each point's shear-table columns x_i*q + x_k
 once per leading coordinate k and gathers every batch's labels into one
-buffer.  With batches of KAKEYA_CELLS = 2^15 label cells, verify_kakeya on
+buffer.  With batches of 2^15 label cells (gf.BLOCK_BYTES), verify_kakeya on
 the residue set takes 4.1 / 41 ms at q = 19 / 31 (2-core Xeon VM); 2^14
 takes 4.7 / 57 ms, and 2^16 3.7 / 36 ms but adds 0.9 MB more to peak RSS.
 """
@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import DegreeTooLarge, FieldCtx, NonPrime, field_of_order
+from .gf import DegreeTooLarge, FieldCtx, NonPrime, block_len, field_of_order
 from .linalg import nullspace
 
 
@@ -46,11 +46,6 @@ from .linalg import nullspace
 # Hermitian commands, has 4.9 million points), and an affine shear table or
 # row of labels at most 128 MB (AG(3,q) for q <= 256)
 PROJ_POINT_LIMIT = 1 << 24
-
-# a batch of B directions over P labelled points (or over the q^(n-1) lines
-# of a direction, when those are more) takes at most this many label cells,
-# and a block of k lines at most this many normal coordinates, 3k(q+1)
-KAKEYA_CELLS = 1 << 15
 
 
 class UnsupportedField(ValueError):
@@ -171,13 +166,13 @@ class AffineSpace:
         (by default every point) plus r*nlabels, so that a key names one
         line of the batch, and counts[key] is how many of the counted
         columns of keys lie on that line.  A batch of B directions takes
-        B*max(points, nlabels) <= KAKEYA_CELLS label cells, or is one
+        B*max(points, nlabels) label cells in gf.BLOCK_BYTES, or is one
         direction, and has one leading coordinate k: the ids
         [(q^j - 1)/(q - 1), (q^(j+1) - 1)/(q - 1)) lead at k = n-1-j.  Given
         coords, keys live in one buffer and hold only until the next batch."""
         q, n = self.q, self.n
         x = self._grid if coords is None else coords
-        step = max(1, min(self.ndirs, KAKEYA_CELLS // max(np.broadcast(*x).size, self.nlabels)))
+        step = min(self.ndirs, block_len(8 * max(np.broadcast(*x).size, self.nlabels)))
         buf = None if coords is None else np.empty((n - 1, step, x.shape[1]), dtype=np.int64)
         for j, k in enumerate(range(n - 1, -1, -1)):
             lo, stop = max(start, (q ** j - 1) // (q - 1)), (q ** (j + 1) - 1) // (q - 1)
@@ -298,12 +293,12 @@ class LineFamily:
     def max_plane_occupancy(self):
         """(plane id, count) with the largest member-line count, ties to the
         largest id; (None, 0) for no lines or for AG(2,q).  Blocks of lines
-        whose (lines, q+1, 3) normals take KAKEYA_CELLS cells count at a time."""
+        whose (lines, q+1, 3) normals take gf.BLOCK_BYTES count at a time."""
         sp = self.space
         if not len(self.lines) or sp.n != 3:
             return None, 0
         counts = np.zeros(sp.ndirs * sp.q, dtype=np.int64)
-        step = max(1, KAKEYA_CELLS // (3 * sp.q + 3))
+        step = block_len(8 * (3 * sp.q + 3))  # int64 normal coordinates
         for start in range(0, len(self.lines), step):
             planes = sp.line_planes(*self.lines[start:start + step].T)
             counts += np.bincount(planes.ravel(), minlength=len(counts))

@@ -61,6 +61,16 @@ def exact_dtype(bound: int, widths=INT_WIDTHS) -> np.dtype:
                         f"{', '.join(np.dtype(dt).name for dt in widths)}")
 
 
+# every loop whose arrays grow with q takes its items in blocks of at most
+# this many bytes of its largest per-item array
+BLOCK_BYTES = 1 << 18
+
+
+def block_len(item_bytes: int) -> int:
+    """Items per block of a loop that holds item_bytes bytes an item."""
+    return max(1, BLOCK_BYTES // item_bytes)
+
+
 # the prime bases up to 41 make Miller-Rabin exact below this bound
 # (Sorenson and Webster, 2015)
 MILLER_RABIN_LIMIT = 3317044064679887385961981

@@ -18,6 +18,7 @@ from math import isqrt
 import numpy as np
 
 from .geom import LineFamily, UnsupportedField, affine_space, proj_space
+from .gf import block_len
 
 
 class NonSquareField(ValueError):
@@ -94,9 +95,9 @@ def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
     """The q - sqrt(q) lines through c in V in PG(3,q) meeting V only at
     c, as (q - sqrt(q), q+1) rows of sorted point ids in the order of their
     least point other than c.  c is a point on the last axis; leading axes
-    batch, and lead the result.  UnsupportedField unless V lies in PG(3,q);
-    ValueError for a point off V; AssertionError unless each point has
-    exactly q - sqrt(q) tangent lines."""
+    batch, in blocks of gf.BLOCK_BYTES, and lead the result.
+    UnsupportedField unless V lies in PG(3,q); ValueError for a point off V;
+    AssertionError unless each point has exactly q - sqrt(q) tangent lines."""
     if V.n != 3:
         raise UnsupportedField(f"tangent lines need a variety in PG(3,q), not PG({V.n},q)")
     q, r = V.q, _root_q(V.q)
@@ -106,23 +107,28 @@ def tangent_lines_at(V: HermitianVariety, c) -> np.ndarray:
     off = ~V.mask[pg.ids(pts)]
     if off.any():
         raise ValueError(f"tangent space requires a variety point, got {tuple(pts[off][0].tolist())}")
-    # the tangent plane at c is x . conj(c) = 0, and conj(c) != 0 as c != 0:
-    # no point of V is singular
-    w = pg.ctx.conj(pts)
-    # each line through c in the tangent plane meets the line where that
-    # plane cuts x_i = 0, for c_i the leading coordinate of c, once; the
-    # meet m is the line's least point other than c: normalized, m + t*c
-    # (t != 0) agrees with m before x_i, where m has 0 and it does not
-    e = np.eye(V.n + 1, dtype=np.int64)[(pts != 0).argmax(axis=1)]
-    meets = pg.array[pg.perp_lines(np.stack([w, e], axis=1))]
-    lines = pg.line_ids(pts[:, None, :], meets)
-    tangent = _meet_sizes(V, lines) == 1
-    counts = tangent.sum(axis=1)
-    if (counts != q - r).any():
-        i = np.flatnonzero(counts != q - r)[0]
-        raise AssertionError(
-            f"{counts[i]} tangent lines at {tuple(pts[i].tolist())}, not q - sqrt(q) = {q - r}")
-    return lines[tangent].reshape(c.shape[:-1] + (q - r, q + 1))
+    out = np.empty((len(pts), q - r, q + 1), dtype=np.int64)
+    step = block_len(8 * (q + 1) ** 2 * (V.n + 1))  # a point's candidate lines
+    for lo in range(0, len(pts), step):
+        block = pts[lo:lo + step]
+        # the tangent plane at c is x . conj(c) = 0, and conj(c) != 0 as
+        # c != 0: no point of V is singular
+        w = pg.ctx.conj(block)
+        # each line through c in the tangent plane meets the line where that
+        # plane cuts x_i = 0, for c_i the leading coordinate of c, once; the
+        # meet m is the line's least point other than c: normalized, m + t*c
+        # (t != 0) agrees with m before x_i, where m has 0 and it does not
+        e = np.eye(V.n + 1, dtype=np.int64)[(block != 0).argmax(axis=1)]
+        meets = pg.array[pg.perp_lines(np.stack([w, e], axis=1))]
+        lines = pg.line_ids(block[:, None, :], meets)
+        tangent = _meet_sizes(V, lines) == 1
+        counts = tangent.sum(axis=1)
+        if (counts != q - r).any():
+            i = np.flatnonzero(counts != q - r)[0]
+            raise AssertionError(
+                f"{counts[i]} tangent lines at {tuple(block[i].tolist())}, not q - sqrt(q) = {q - r}")
+        out[lo:lo + step] = lines[tangent].reshape(-1, q - r, q + 1)
+    return out.reshape(c.shape[:-1] + (q - r, q + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +181,11 @@ def build_tangent_line_family(V: HermitianVariety, alpha, seed: int):
                              "points lie on a tangent line")
 
     # max plane occupancy (reported only): the planes through a line are
-    # the points orthogonal to two of its points
-    occupancy = np.bincount(pg.perp_lines(pg.array[ids[:, :2]]).ravel(), minlength=len(pg.array))
+    # the points orthogonal to two of its points, a block of lines at a time
+    occupancy = np.zeros(len(pg.array), dtype=np.int64)
+    step = block_len(8 * (q + 1) * (V.n + 1))
+    for lo in range(0, len(ids), step):
+        np.add.at(occupancy, pg.perp_lines(pg.array[ids[lo:lo + step, :2]]), 1)
 
     # affine restriction: drop the hyperplane x0 = 0, whose points are the
     # ids below (q^n - 1)/(q - 1); a line's ids are sorted
@@ -203,10 +212,13 @@ def affine_chart_family(family: TangentLineFamily) -> LineFamily:
     """The lines of a tangent-line family in PG(3,q) that leave the
     hyperplane x0 = 0, as lines of AG(3,q) through the x0 = 1 chart."""
     sp = affine_space(family.V.q, 3)
-    pts = proj_space(sp.q, 3).array[family.lines]
     # a line's points are normalized and sorted, so one that leaves x0 = 0
     # lists its point there first and then q points (1, a1, a2, a3)
-    pts = pts[pts[:, 1, 0] == 1][:, 1:3, 1:]
+    pts = proj_space(sp.q, 3).array[family.lines[:, 1:3]]
+    pts = pts[pts[:, 0, 0] == 1][..., 1:]
     dirs = sp.proj.ids(sp.ctx.vsubmul(pts[:, 0], 1, pts[:, 1]))
-    bases = sp.line_points(dirs, pts[:, 0] @ sp.q ** np.arange(3)).min(axis=1)
+    bases = pts[:, 0] @ sp.q ** np.arange(3)
+    step = block_len(8 * sp.q)  # a line's q int64 points
+    for lo in range(0, len(pts), step):
+        bases[lo:lo + step] = sp.line_points(dirs[lo:lo + step], bases[lo:lo + step]).min(axis=1)
     return LineFamily(sp, np.stack([dirs, bases], axis=1))

@@ -6,9 +6,9 @@ significant first, joined by '-' for extension fields).  A point row has
 n tokens; a line row has 2n tokens (direction vector, then base point).
 Round trips are bit-exact.
 
-Rows are written and read in blocks.  The writer gathers a block's bytes
-from a table of every element's token (_format).  The reader decodes a
-block with array operations when it formats back to its own bytes
+Rows are written and read in blocks of gf.BLOCK_BYTES.  The writer gathers
+a block's bytes from a table of every element's token (_format).  The reader
+decodes a block with array operations when it formats back to its own bytes
 (_decode_block), and any other block row by row (_parse_rows).
 """
 from __future__ import annotations
@@ -19,10 +19,7 @@ from io import StringIO
 import numpy as np
 
 from .geom import LineFamily, PointSet, affine_space
-from .gf import field_of_order
-
-# characters read per block (then on to the end of its row); rows written per block
-READ_BLOCK, WRITE_BLOCK = 1 << 14, 1 << 15
+from .gf import block_len, field_of_order
 
 
 class FormatError(ValueError):
@@ -56,24 +53,25 @@ def _format(q: int, rows: np.ndarray) -> bytes:
     return out[out != 0].tobytes()
 
 
-def _write_rows(path: str, header: str, q: int, items: np.ndarray, rows):
-    """Write the header and the rows(items[s]) of each block s of items."""
+def _write_rows(path: str, header: str, q: int, items: np.ndarray, rows, width: int):
+    """Write the header and the rows(items[s]), width tokens each, of each block s."""
+    step = block_len(8 * width)  # a row's int64 codes
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        for start in range(0, len(items), WRITE_BLOCK):
-            fh.write(_format(q, rows(items[start:start + WRITE_BLOCK])))
+        for start in range(0, len(items), step):
+            fh.write(_format(q, rows(items[start:start + step])))
 
 
 def save_pointset(pset: PointSet, path: str):
     sp = affine_space(pset.q, pset.n)
     _write_rows(path, f"{pset.q} {pset.n} points", sp.q, pset.indices(),
-                lambda pts: sp.point_coords(pts).T)
+                lambda pts: sp.point_coords(pts).T, sp.n)
 
 
 def save_linefamily(fam: LineFamily, path: str):
     sp = fam.space
     _write_rows(path, f"{sp.q} {sp.n} lines", sp.q, fam.lines, lambda lines: np.concatenate(
-        [sp.proj.array[lines[:, 0]], sp.point_coords(lines[:, 1]).T], axis=1))
+        [sp.proj.array[lines[:, 0]], sp.point_coords(lines[:, 1]).T], axis=1), 2 * sp.n)
 
 
 def _read_header(line: str):
@@ -123,7 +121,8 @@ def _read_rows(fh, ctx, width: int, kind: str):
     of whole rows at a time: by _decode_block, or when it refuses the block
     by _parse_rows, which raises the error of the block's first bad row."""
     ndir = width // 2 if kind == "line" else 0
-    while block := fh.read(READ_BLOCK):
+    # a character read takes an int64 digit and at most one int64 group end
+    while block := fh.read(block_len(16)):
         block += fh.readline()
         rows = _decode_block(block.encode(), ctx, width, ndir)
         if rows is None:

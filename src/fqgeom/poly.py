@@ -20,7 +20,7 @@ from math import ceil, comb, inf
 
 import numpy as np
 
-from .gf import FieldCtx, exact_dtype, field_of_order
+from .gf import FieldCtx, block_len, exact_dtype, field_of_order
 from .linalg import nullspace
 
 
@@ -242,12 +242,6 @@ class MultiPoly:
         return acc
 
 
-# the bytes of one block: the batched shift takes its points, and the
-# constraint assembly its rows, in blocks of at most this many bytes of
-# codes (of digits, in the shift), which bounds their memory at any q
-_BLOCK_BYTES = 1 << 15
-
-
 def _as_points(points, q: int, n: int) -> np.ndarray:
     """points (or one point) as a (k, n) int64 array of codes; ValueError
     unless every point has n coordinates in [0, q)."""
@@ -281,7 +275,7 @@ def _digit_tables(ctx: FieldCtx, dt: np.dtype):
 
 def _shifts(g: MultiPoly, pts):
     """The coefficient tensors of g(x+a), for the points a in the rows of
-    the int64 array pts, in blocks of _BLOCK_BYTES: yields (index of the
+    the int64 array pts, in blocks of gf.BLOCK_BYTES: yields (index of the
     chunk's first point, tensors of shape (chunk, k) + (q,)*n), each
     coefficient of GF(p^k) as its k base-p digits along axis 1.
 
@@ -304,7 +298,7 @@ def _shifts(g: MultiPoly, pts):
     taylor = _taylor(ctx, dt, q)
     if k == 1:  # the codes are their own 1 x 1 blocks
         taylor = taylor[:, :, None, None]
-    step = max(1, _BLOCK_BYTES // dense.nbytes)
+    step = block_len(dense.nbytes)
     for lo in range(0, len(pts), step):
         chunk = pts[lo:lo + step]
         h = dense[None]
@@ -331,12 +325,13 @@ def multiplicities(g: MultiPoly, points) -> np.ndarray:
         raise ZeroPolynomial("multiplicity of the zero polynomial")
     q, n = g.basis.q, g.basis.n
     pts = _as_points(points, q, n)
-    degree, top = np.indices((q,) * n).sum(axis=0), n * q
+    top = n * q
     out = np.empty(len(pts), dtype=np.int64)
     for lo, h in _shifts(g, pts):
-        # a coefficient is nonzero when any of its digits is; the degrees
-        # in h's dtype, so that the selection is no wider than h
-        least = np.where(h.any(axis=1), degree.astype(h.dtype), top).reshape(len(h), -1).min(axis=1)
+        if not lo:  # the degrees, once, in h's dtype: no wider than h
+            degree = sum(np.ogrid[(slice(q),) * n]).astype(h.dtype)
+        # a coefficient is nonzero when any of its digits is
+        least = np.where(h.any(axis=1), degree, top).reshape(len(h), -1).min(axis=1)
         out[lo:lo + len(h)] = least
         del h  # not held while the next chunk is shifted
     if (out == top).any():
@@ -477,7 +472,7 @@ def constraint_rows_matrix(basis: MonomialBasis, points_with_mult, ctx=None,
     # (a, beta) reads row a_i * len(T[0]) + beta_i of each F_i
     F = [T[:, :, E[:, i]].reshape(-1, len(E)) for i in range(n)]
     rows = np.repeat(pts, counts, axis=0) * len(T[0]) + B
-    step = max(1, _BLOCK_BYTES // out[0].nbytes)
+    step = block_len(out[0].nbytes)
     for lo in range(0, len(out), step):
         block = rows[lo:lo + step]
         row = F[0].take(block[:, 0], axis=0)

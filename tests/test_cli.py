@@ -190,6 +190,23 @@ def test_non_positive_count_exits_2(argv, capsys):
     assert captured.out == "" and "is not positive" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kakeya", "pipeline", "--q", "5", "--u", "1", "--alpha", "1/0", "--seed", "1"],
+    ["hermitian", "tangent-family", "--p", "2", "--alpha", "1/0", "--seed", "1"],
+    ["nikodym", "harness", "--generator", "hermitian", "--q", "4", "--seed", "1",
+     "--alpha", "1/0"],
+    ["poly", "count", "--n", "3", "--q", "3", "--m", "1/0"],
+    ["nikodym", "conic-family", "--q", "5", "--fraction", "1/0"],
+], ids=["pipeline-alpha", "tangent-alpha", "harness-alpha", "count-m", "conic-fraction"])
+def test_zero_denominator_exits_2(argv, capsys):
+    """A fraction flag with a zero denominator is a bad config, refused as
+    the arguments are parsed, not a ZeroDivisionError from the command."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"{argv[argv.index('1/0') - 1]}: '1/0' is not a fraction" in err
+
+
 def test_pipeline_reported_only(capsys):
     code, out = run(
         ["kakeya", "pipeline", "--q", "5", "--u", "1", "--alpha", "0.8",

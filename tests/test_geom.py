@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fqgeom
-from fqgeom import geom, linalg
+from fqgeom import geom, gf, linalg
 from fqgeom.geom import (
     LineFamily,
     PointSet,
@@ -175,8 +175,8 @@ def test_max_plane_occupancy_ignores_the_cell_bound(q, monkeypatch):
     lines = sp.all_lines()
     fam = LineFamily(sp, lines[np.random.default_rng(q).choice(len(lines), 3 * q * q)])
     got = []
-    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
-        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+    for cells in (1, gf.BLOCK_BYTES // 8, 1 << 30):
+        monkeypatch.setattr(gf, "BLOCK_BYTES", 8 * cells)
         got.append(fam.max_plane_occupancy())
     assert got[0] == got[1] == got[2] == recount_max_occupancy(fam)
 

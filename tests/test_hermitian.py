@@ -1,24 +1,32 @@
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
 
+import fqgeom
 import fqgeom.hermitian as hm
-from fqgeom import cli
+from fqgeom import cli, gf
 from fqgeom.geom import UnsupportedField, proj_space
 from fqgeom.gf import field_of_order
 from fqgeom.hermitian import (
     AlphaOutOfRange,
     NonSquareField,
     _meet_sizes,
+    affine_chart_family,
     build_hermitian,
     build_tangent_line_family,
     phi,
     tangent_cover_holds,
     tangent_lines_at,
 )
+from fqgeom.io import save_linefamily, save_pointset
 
 
 def _points(V):
@@ -238,3 +246,62 @@ def test_family_deterministic():
     a, ra = build_tangent_line_family(V, Fraction(1, 2), seed=8)
     b, rb = build_tangent_line_family(V, Fraction(1, 2), seed=8)
     assert np.array_equal(a.lines, b.lines) and ra == rb
+
+
+@pytest.mark.parametrize("r, alpha", [(2, Fraction(1, 1000)), (2, Fraction(1, 2)),
+                                      (3, Fraction(1, 2))], ids=["p2-empty", "p2-half", "p3-half"])
+def test_family_outputs_ignore_the_block_budget(r, alpha, monkeypatch, tmp_path):
+    """One item per block, blocks of 1000 bytes, the default budget and one
+    block for everything give the same family ids and report, the same
+    affine chart, and the same point and line files, byte for byte: with
+    one row per block a file's rows span as many write blocks as it has
+    rows.  At alpha = 1/1000 no point is sampled and every output is
+    empty."""
+    V = build_hermitian(r, 3)
+    outputs = []
+    for budget in (1, 1000, gf.BLOCK_BYTES, 1 << 30):
+        monkeypatch.setattr(gf, "BLOCK_BYTES", budget)
+        fam, rep = build_tangent_line_family(V, alpha, seed=5)
+        chart = affine_chart_family(fam)
+        pts, lines = tmp_path / f"{budget}.pts", tmp_path / f"{budget}.lines"
+        save_pointset(chart.union_points(), str(pts))
+        save_linefamily(chart, str(lines))
+        outputs.append((fam.lines.tobytes(), rep, chart.lines.tobytes(),
+                        pts.read_bytes(), lines.read_bytes()))
+    assert all(out == outputs[0] for out in outputs)
+    assert (rep["nP"] == 0) == (alpha < Fraction(1, 2))
+    assert len(outputs[0][3].splitlines()) - 1 == len(chart.union_points())
+    assert len(outputs[0][4].splitlines()) - 1 == len(chart)
+
+
+_FAMILY_CHILD = textwrap.dedent("""
+    import json
+    from fractions import Fraction
+    from fqgeom.hermitian import build_hermitian, build_tangent_line_family
+
+    def status(key):
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+    V = build_hermitian(5, 3)
+    build_tangent_line_family(build_hermitian(2, 3), Fraction(1, 2), 1)  # warm numpy's loops
+    before = status("VmRSS")
+    fam, _ = build_tangent_line_family(V, Fraction(1, 2), 1)
+    print(json.dumps({"ids_bytes": fam.lines.nbytes, "grown_kb": status("VmHWM") - before}))
+""")
+
+
+def test_tangent_family_memory_bound():
+    """The p = 5, alpha = 1/2 family (32,760 lines of 26 int64 ids, 6.8 MB)
+    grows the process's peak by less than 3 times its ids: the points'
+    candidate lines and the planes through the family's lines take blocks
+    of gf.BLOCK_BYTES.  One call over every point and line grew it by about
+    15 times."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAMILY_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["ids_bytes"] == 32760 * 26 * 8
+    assert out["grown_kb"] * 1024 < 3 * out["ids_bytes"]

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fqgeom import io
+from fqgeom import gf, io
 from fqgeom.geom import LineFamily, PointSet, affine_space
 from fqgeom.gf import field_of_order
 from fqgeom.io import (
@@ -233,7 +233,7 @@ def test_writer_matches_reference_and_round_trips(q, n, tmp_path, monkeypatch):
 def test_blocks_end_inside_rows(block, tmp_path, monkeypatch):
     """A block ends wherever the character budget does, then runs on to the
     end of that row: any budget loads the same rows by the array route."""
-    monkeypatch.setattr(io, "READ_BLOCK", block)
+    monkeypatch.setattr(gf, "BLOCK_BYTES", 16 * block)  # 16 bytes a character
     monkeypatch.setattr(io, "_parse_rows", no_row_parser)
     for q, n in [(7, 3), (9, 3), (1021, 2)]:
         s, fam, pts, lns, _ = seeded_files(q, n, tmp_path, size=100)
@@ -264,7 +264,8 @@ def test_canonical_block_then_odd_block(tail, tmp_path, monkeypatch):
     calls = []
     parse_rows = io._parse_rows
     monkeypatch.setattr(io, "_parse_rows", lambda *a: calls.append(1) or parse_rows(*a))
-    monkeypatch.setattr(io, "READ_BLOCK", len(head) - 1)  # one block of the head, then the tail
+    # one block of the head, then the tail, at 16 bytes a character
+    monkeypatch.setattr(gf, "BLOCK_BYTES", 16 * (len(head) - 1))
     assert same_set(load_pointset(str(path)), want)
     # universal newlines make CRLF rows canonical by the time they are decoded
     assert len(calls) == (tail != "CRLF")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fqgeom
-from fqgeom import geom
+from fqgeom import gf
 from fqgeom.geom import PointSet, affine_space
 from fqgeom.kakeya import (
     KakeyaWitness,
@@ -212,7 +212,7 @@ def test_sweep_batches_lie_in_one_lead_group(q, n, monkeypatch):
     lead = (sp.proj.array != 0).argmax(axis=1)
     single = sp.line_labels(np.arange(sp.ndirs), coords)
     for cells in (1, (q - 1) * len(pts), q * len(pts), 1 << 30):
-        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+        monkeypatch.setattr(gf, "BLOCK_BYTES", 8 * cells)
         for start in (0, 1, q + 2):
             seen = []
             for ids, keys, counts in sp.line_counts(coords, counted, start):
@@ -252,7 +252,7 @@ def _cell_budgets(pset):
     q, size = pset.q, len(pset)
     comp = q ** 3 - size
     labelled = {size, comp, q ** 3, comp + min(size, comp * (q - 1) + 1)}
-    return [1, geom.KAKEYA_CELLS, 1 << 30] + [
+    return [1, gf.BLOCK_BYTES // 8, 1 << 30] + [
         step * max(points, q * q) for points in sorted(labelled) for step in (q - 1, q)]
 
 
@@ -264,7 +264,7 @@ def test_verifiers_ignore_the_cell_bound(q, kind, monkeypatch):
         PointSet.full(q) if kind == "full" else _pointset(q, kind))
     outcomes = []
     for cells in _cell_budgets(pset):
-        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+        monkeypatch.setattr(gf, "BLOCK_BYTES", 8 * cells)
         outcomes.append((_outcome(verify_kakeya(pset)), _outcome(verify_nikodym(pset))))
     assert all(got == outcomes[0] for got in outcomes)
     (kind_k, found), _ = outcomes[0]
@@ -325,8 +325,8 @@ def test_kakeya_sides_match_reference(q, kind, monkeypatch):
         d = int(affine_space(q, 3).proj.ids([1, 0, 0]))
         assert witness[d] == (d, q * q)
         assert list(pset.indices()).index(q * q) == q * (q - 1)
-    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
-        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+    for cells in (1, gf.BLOCK_BYTES // 8, 1 << 30):
+        monkeypatch.setattr(gf, "BLOCK_BYTES", 8 * cells)
         got = verify_kakeya(pset)
         if missing:
             assert isinstance(got, MissingDirections) and got.directions == missing
@@ -343,8 +343,8 @@ def test_nikodym_sides_match_reference(q, kind, monkeypatch):
     its order, or the reference failing points, at any batch size."""
     pset = _sided_pointset(q, kind)
     assignment, failing = reference_nikodym(pset)
-    for cells in (1, geom.KAKEYA_CELLS, 1 << 30):
-        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+    for cells in (1, gf.BLOCK_BYTES // 8, 1 << 30):
+        monkeypatch.setattr(gf, "BLOCK_BYTES", 8 * cells)
         got = verify_nikodym(pset)
         if failing:
             assert isinstance(got, FailingPoints) and got.points == failing
@@ -357,8 +357,8 @@ def test_nikodym_set_side_witness(monkeypatch):
     """The plane x3 = 0 of AG(3,2) holds q^3/2 points, so its set is
     labelled; every point above it takes the vertical line through it."""
     pset = PointSet(2, 3, range(4))
-    for cells in (1, geom.KAKEYA_CELLS):
-        monkeypatch.setattr(geom, "KAKEYA_CELLS", cells)
+    for cells in (1, gf.BLOCK_BYTES // 8):
+        monkeypatch.setattr(gf, "BLOCK_BYTES", 8 * cells)
         got = verify_nikodym(pset)
         assert isinstance(got, NikodymWitness)
         assert list(got.assignment.items()) == [(4, (0, 0)), (5, (0, 1)), (6, (0, 2)), (7, (0, 3))]

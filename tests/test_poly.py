@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fqgeom
-from fqgeom import poly
+from fqgeom import gf, poly
 from fqgeom.gf import field_of_order
 from fqgeom.linalg import nullspace
 from fqgeom.poly import (
@@ -156,7 +156,7 @@ def test_multiplicities_match_full_shift(q, monkeypatch):
     """The batched Taylor shift against the scalar oracle, on seeded random
     polynomials and on interpolants, at constrained and random points.
     Chunks of 4 points, so that every call spans several chunks."""
-    monkeypatch.setattr(poly, "_BLOCK_BYTES", 4 * q ** 3 * code_bytes(q))
+    monkeypatch.setattr(gf, "BLOCK_BYTES", 4 * q ** 3 * code_bytes(q))
     rng = random.Random(50 + q)
     pool = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
     for m in (1, 2, 3):
@@ -187,7 +187,7 @@ def test_chunked_shift_at_chunk_boundaries(q, monkeypatch):
     against pointwise evaluation, for 1, chunk-1, chunk and chunk+1 points
     with a budget of 5 points per chunk; the chunks are the budget's."""
     chunk = 5
-    monkeypatch.setattr(poly, "_BLOCK_BYTES", chunk * q ** 3 * code_bytes(q))
+    monkeypatch.setattr(gf, "BLOCK_BYTES", chunk * q ** 3 * code_bytes(q))
     sizes = []
     shifts = poly._shifts
 
@@ -275,7 +275,7 @@ def test_constraint_rows_match_scalar_reference(q, monkeypatch):
         ref = np.array(reference_rows(basis, cons, ctx, ncols), dtype=dt)
         for rows_per_block in (1, 3, None):
             if rows_per_block:
-                monkeypatch.setattr(poly, "_BLOCK_BYTES", rows_per_block * width * ref.itemsize)
+                monkeypatch.setattr(gf, "BLOCK_BYTES", rows_per_block * width * ref.itemsize)
             else:
                 monkeypatch.undo()
             got = poly.constraint_rows_matrix(basis, cons, ctx, ncols)
