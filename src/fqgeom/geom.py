@@ -5,9 +5,9 @@ nonzero coordinate 1) in lexicographic order, and a point's id is its
 row; ProjSpace.ids maps any nonzero vectors to ids arithmetically.  A
 projective line is a sorted row of its q+1 point ids: ProjSpace.line_ids
 spans them in batches, and ProjSpace.perp_lines gives the line
-orthogonal to n-1 independent rows from their kernel, one
-linalg.nullspace call for a whole stack of matrices: normals, planes
-through a line, lines of PG(2,q).
+orthogonal to n-1 independent rows, n = 2 or 3, from two kernel vectors
+that Cramer's rule writes with the rows' minors, for a whole stack of
+matrices at once: normals, planes through a line, lines of PG(2,q).
 
 Affine points are integer indices in [0, q^n) (base-q packing of the
 coordinate vector, coordinate 0 least significant), and
@@ -18,7 +18,8 @@ int arrays of such rows, ascending when they come from all_lines,
 lines_in_plane or a LineFamily.  With m the last nonzero coordinate of
 the direction (AffineSpace.base_axis), the coordinates above m are
 constant along the line and x_m runs over the whole field, so the least
-point is the line's one point with x_m = 0.
+point is the line's one point with x_m = 0, x - (x_m / d_m)*d for any
+point x of the line (AffineSpace.line_base).
 AffineSpace.line_points lists the points of any number of lines at once.
 A plane m.x = c of AG(3,q) (m a point of PG(2,q), c in GF(q)) is its id
 m*q + c: AffineSpace.line_planes gives the ids of the planes through
@@ -38,7 +39,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gf import DegreeTooLarge, FieldCtx, NonPrime, block_len, field_of_order
-from .linalg import nullspace
 
 
 # the most points a ProjSpace or an AffineSpace holds: a ProjSpace's (N, n+1)
@@ -97,6 +97,17 @@ class AffineSpace:
             step = mult[t, d[..., i, None]]  # t*d_i
             pts = pts + addt[b // q ** i % q, step] * q ** i
         return pts
+
+    def line_base(self, dir_ids, pts) -> np.ndarray:
+        """Index of the least point of the line through each point x with
+        direction d: x - (x_m / d_m)*d, m = base_axis[d].  dir_ids and pts
+        broadcast against each other, as in line_points."""
+        ctx, q, w = self.ctx, self.q, self.q ** np.arange(self.n)
+        ids, x = np.asarray(dir_ids, dtype=np.int64), np.asarray(pts, dtype=np.int64)
+        d, m = self.proj.array[ids], self.base_axis[ids]
+        dm = np.take_along_axis(d, m[..., None], axis=-1)[..., 0]
+        t = ctx.vmul(x // q ** m % q, ctx.inv_table[dm])
+        return ctx.vsubmul(x[..., None] // w % q, t[..., None], d) @ w
 
     @cached_property
     def shear(self) -> np.ndarray:
@@ -306,8 +317,11 @@ class LineFamily:
         return top, int(counts[top])
 
     def union_points(self) -> PointSet:
+        """The points on the lines, listed a block of lines at a time."""
         s = PointSet(self.space.q, self.space.n)
-        s.mask[self.space.line_points(*self.lines.T)] = True
+        step = block_len(8 * self.space.q)  # a line's q int64 points
+        for start in range(0, len(self.lines), step):
+            s.mask[self.space.line_points(*self.lines[start:start + step].T)] = True
         return s
 
 
@@ -360,20 +374,38 @@ class ProjSpace:
 
     def perp_lines(self, rows) -> np.ndarray:
         """Sorted ids of the q+1 points x with r.x = 0 for every row r of
-        each (n-1, n+1) matrix on the last two axes (other axes batch): the
-        line through the two vectors of the matrix's kernel, read from one
-        nullspace call on the whole stack.  ValueError when a matrix's rows
-        are dependent."""
+        each (n-1, n+1) matrix on the last two axes (other axes batch), for
+        n = 2 or 3, spanned by two kernel vectors from Cramer's rule
+        (_cramer).  ValueError at any other n, and when rows are dependent."""
+        n, ctx = self.n, self.ctx
+        if n not in (2, 3):
+            raise ValueError(f"perp_lines needs PG(2,q) or PG(3,q), not PG({n},q)")
         rows = np.asarray(rows, dtype=np.int64)
-        shape = (self.n - 1, self.n + 1)
-        if rows.shape[-2:] != shape:
-            raise ValueError(f"perp_lines needs {shape} matrices, not {rows.shape[-2:]}")
-        # n-1 rows have rank at most n-1, so a stack whose largest kernel
-        # has two rows is a stack of matrices of rank n-1
-        basis = nullspace(rows, self.ctx)
-        if basis.shape[-2] != 2:
+        if rows.shape[-2:] != (n - 1, n + 1):
+            raise ValueError(f"perp_lines needs {(n - 1, n + 1)} matrices, not {rows.shape[-2:]}")
+        if n == 2:  # the rows (u, 0) and e_3 have the kernel {(x, 0) : u.x = 0}
+            rows = np.concatenate([rows, rows[..., :1] * 0], axis=-1)
+            rows = np.concatenate([rows, np.broadcast_to([0, 0, 0, 1], rows.shape)], axis=-2)
+        u, v = rows[..., 0, :, None], rows[..., 1, None, :]  # m[a, b] = u_a v_b - u_b v_a
+        m = ctx.vsubmul(ctx.vmul(u, v), np.swapaxes(u, -1, -2), np.swapaxes(v, -1, -2))
+        m = m.reshape(m.shape[:-2] + (16,))
+        nonzero = m[..., [1, 2, 3, 6, 7, 11]] != 0  # m[s, t] for s < t, at 4s + t
+        if not nonzero.any(axis=-1).all():
             raise ValueError("rows are dependent: their kernel is not a line")
+        pick = _cramer()[nonzero.argmax(axis=-1)]  # at the first m[s, t] != 0
+        basis = np.take_along_axis(m, pick, axis=-1).reshape(pick.shape[:-1] + (2, 4))[..., :n + 1]
         return self.line_ids(basis[..., 0, :], basis[..., 1, :])
+
+
+@lru_cache(maxsize=None)
+def _cramer() -> np.ndarray:
+    """Cramer's rule for perp_lines: at each column pair (s, t), s < t, of a
+    2 x 4 matrix with minors m[a, b], in order, the kernel vectors
+    m[s, t] e_f + m[t, f] e_s + m[f, s] e_t of the two other columns f, as
+    indices 4a + b of m[a, b] (m[0, 0] = 0 elsewhere)."""
+    return np.array([[{f: 4 * s + t, s: 4 * t + f, t: 4 * f + s}.get(c, 0)
+                      for f in sorted({0, 1, 2, 3} - {s, t}) for c in range(4)]
+                     for s in range(4) for t in range(s + 1, 4)])
 
 
 @lru_cache(maxsize=None)

@@ -217,8 +217,5 @@ def affine_chart_family(family: TangentLineFamily) -> LineFamily:
     pts = proj_space(sp.q, 3).array[family.lines[:, 1:3]]
     pts = pts[pts[:, 0, 0] == 1][..., 1:]
     dirs = sp.proj.ids(sp.ctx.vsubmul(pts[:, 0], 1, pts[:, 1]))
-    bases = pts[:, 0] @ sp.q ** np.arange(3)
-    step = block_len(8 * sp.q)  # a line's q int64 points
-    for lo in range(0, len(pts), step):
-        bases[lo:lo + step] = sp.line_points(dirs[lo:lo + step], bases[lo:lo + step]).min(axis=1)
+    bases = sp.line_base(dirs, pts[:, 0] @ sp.q ** np.arange(3))
     return LineFamily(sp, np.stack([dirs, bases], axis=1))

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geom import LineFamily, MismatchedField, PointSet, affine_space
+from .gf import block_len
 
 
 class FieldTooLarge(ValueError):
@@ -61,7 +62,9 @@ def count_incidences(P: PointSet, L: LineFamily) -> IncidenceStats:
     if (P.q, P.n) != (sp.q, sp.n) or sp.n != 3:
         raise MismatchedField(f"points over q={P.q},n={P.n}; lines over q={sp.q},n={sp.n}; "
                               "incidences are counted in AG(3,q)")
-    total = int(P.mask[sp.line_points(*L.lines.T)].sum())
+    step = block_len(8 * sp.q)  # a line's q int64 points
+    total = sum(int(P.mask[sp.line_points(*L.lines[start:start + step].T)].sum())
+                for start in range(0, len(L.lines), step))
     return IncidenceStats(sp.q, len(P), len(L), total)
 
 
@@ -266,18 +269,17 @@ def cover_fraction_check(q: int, planes=None, lines: LineFamily | None = None) -
     if planes is not None:
         sp = affine_space(q, 3)
         members = np.asarray(planes, dtype=np.int64)
-        points = sp.plane_points(members)
+        covered = PointSet(q, 3)
+        covered.mask[sp.plane_points(members)] = True
     else:
         sp = lines.space
         if sp.n != 2 or sp.q != q:
             raise MismatchedField(f"lines over q={sp.q},n={sp.n}; need q={q},n=2")
         members = lines.lines
-        points = sp.line_points(*members.T)
+        covered = lines.union_points()
     k = Fraction(len(members), q)
     if k <= 1:
         raise TooFewPlanes(f"need more than q objects, got {len(members)}")
-    covered = PointSet(q, sp.n)
-    covered.mask[points] = True
     bound = _cover_bound(len(members), q, sp.n)
     holds = cover_bound_holds(len(covered), len(members), q, sp.n)
     if not holds:

@@ -146,12 +146,17 @@ def load_pointset(path: str) -> PointSet:
 
 
 def load_linefamily(path: str) -> LineFamily:
+    """The line family of a lines file, each block of rows (_read_rows)
+    turned into (direction id, least point) rows as it is read;
+    FormatError on a bad header, row or token."""
     with open(path) as fh:
         q, n, kind = _read_header(fh.readline())
         if kind != "lines":
             raise FormatError(f"{path} holds {kind}, not lines")
         sp = affine_space(q, n)
-        rows = np.concatenate([*_read_rows(fh, sp.ctx, 2 * n, "line"), np.zeros((0, 2 * n), int)])
-    dirs = sp.proj.ids(rows[:, :n])
-    bases = sp.line_points(dirs, rows[:, n:] @ q ** np.arange(n)).min(axis=1)
-    return LineFamily(sp, np.stack([dirs, bases], axis=1))
+        lines = [np.zeros((0, 2), dtype=np.int64)]
+        for rows in _read_rows(fh, sp.ctx, 2 * n, "line"):
+            dirs = sp.proj.ids(rows[:, :n])
+            bases = sp.line_base(dirs, rows[:, n:] @ q ** np.arange(n))
+            lines.append(np.stack([dirs, bases], axis=1))
+    return LineFamily(sp, np.concatenate(lines))

@@ -85,7 +85,7 @@ def verify_nikodym(pset: PointSet):
             on = sp.line_points(dirs, sp.label_points(dirs, label))  # (lines, q)
             new = on[~mask[on]]  # the one complement point of each line
             fresh = ~ok[new]
-            _assign(assignment, new[fresh], dirs[fresh], on[fresh].min(axis=1))
+            _assign(assignment, new[fresh], dirs[fresh], sp.line_base(dirs[fresh], new[fresh]))
             ok[new] = True
         if ok.all():
             break
@@ -120,7 +120,7 @@ def _nikodym_complement_side(sp, pset):
             cols = np.flatnonzero(fresh & at_comp)  # complement points assigned here
             if len(cols):
                 new, dirs = pts[cols], ids[good[:, cols].argmax(axis=0)]
-                _assign(assignment, new, dirs, sp.line_points(dirs, new).min(axis=1))
+                _assign(assignment, new, dirs, sp.line_base(dirs, new))
             ok[pts[fresh]] = True
             if ok.all():  # later directions cannot change ok or the assignment
                 return _nikodym_result(pset, ok, assignment)

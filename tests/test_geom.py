@@ -42,6 +42,21 @@ def test_line_points_structure(q):
             ]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_line_base_is_least_point(q, n):
+    # the closed form x - (x_m / d_m)*d is the least of the line's q points,
+    # for every direction and every point, and broadcasts like line_points
+    sp = affine_space(q, n)
+    dirs, pts = np.arange(sp.ndirs)[:, None], np.arange(sp.npoints)
+    got = sp.line_base(dirs, pts)
+    assert got.shape == (sp.ndirs, sp.npoints)
+    assert np.array_equal(got, sp.line_points(dirs, pts).min(axis=-1))
+    assert np.shape(sp.line_base(sp.ndirs - 1, sp.npoints - 1)) == ()
+    assert sp.line_base(sp.ndirs - 1, sp.npoints - 1) == got[-1, -1]
+    assert np.array_equal(sp.line_base(dirs[3 % sp.ndirs], pts), got[3 % sp.ndirs])
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_lines_through_point_count(q):
     sp = affine_space(q, 3)
@@ -346,20 +361,38 @@ def test_perp_lines_brute_force(q, n):
         pg.perp_lines(pg.array[:n])  # n rows, not n-1
 
 
-def test_perp_lines_eliminates_a_stack_in_one_call(monkeypatch):
-    # 100 matrices, one elimination: no Python loop over the matrices
-    pg = proj_space(5, 3)
-    calls = []
-    rref = linalg.rref
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [11, 13, 16, 25, 27, 49])
+def test_perp_lines_match_nullspace(q, n):
+    # seeded stacks give, matrix by matrix, the line spanned by the kernel
+    # basis that linalg.nullspace reads off the matrix alone; matrices
+    # with zero leading columns take their first nonzero minor further on
+    pg = proj_space(q, n)
+    rng = np.random.default_rng(100 * q + n)
+    mats = rng.integers(0, q, (120, n - 1, n + 1))
+    mats[:30, :, 0] = 0
+    mats[30:50, :, :n - 1] = 0
+    mats[50:60, -1] = pg.ctx.vmul(mats[50:60, 0], 2 % pg.ctx.p)  # dependent at n = 3
+    bases = [linalg.nullspace(m, pg.ctx) for m in mats]
+    line = np.array([len(b) == 2 for b in bases])
+    assert line[:50].sum() >= 40 and (n == 2 or not line[50:60].any())
+    want = np.array([pg.line_ids(*b) for b, ok in zip(bases, line) if ok])
+    got = pg.perp_lines(mats[line])
+    assert got.tolist() == want.tolist()
+    assert pg.perp_lines(mats[line][:40].reshape(4, 10, n - 1, n + 1)).tolist() == (
+        want[:40].reshape(4, 10, q + 1).tolist())
+    for m in mats[~line]:
+        with pytest.raises(ValueError, match="dependent"):
+            pg.perp_lines(m)
 
-    def counted(mat, ctx):
-        calls.append(np.shape(mat))
-        return rref(mat, ctx)
 
-    monkeypatch.setattr(linalg, "rref", counted)
-    mats = np.broadcast_to(np.eye(4, dtype=np.int64)[2:], (100, 2, 4))
-    assert pg.perp_lines(mats).shape == (100, 6)
-    assert calls == [(100, 2, 4)]
+@pytest.mark.parametrize("n", [1, 4])
+def test_perp_lines_refuses_other_dimensions(n):
+    # Cramer's rule is written for the planes of PG(3,q) and the lines of
+    # PG(2,q); no caller reduces matrices of any other shape
+    pg = proj_space(3, n)
+    with pytest.raises(ValueError, match=rf"PG\(2,q\) or PG\(3,q\), not PG\({n},q\)"):
+        pg.perp_lines(np.zeros((n - 1, n + 1), dtype=np.int64))
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 3), (4, 2), (5, 3), (8, 2), (9, 3), (2, 4)])

@@ -2,8 +2,10 @@ import math
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 
+from fqgeom import gf
 from fqgeom.geom import LineFamily, MismatchedField, PointSet, affine_space
 from fqgeom.incidence import (
     FieldTooLarge,
@@ -39,6 +41,27 @@ def test_count_incidences_single_line():
     P = PointSet(3, 3, indices=sp.line_points(*ln))
     fam = LineFamily(sp, [ln])
     assert count_incidences(P, fam).incidences == 3
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 30])
+def test_line_walks_do_not_depend_on_blocks(monkeypatch, block_bytes):
+    """union_points, count_incidences and the line branch of
+    cover_fraction_check list a block of lines at a time: one line a block
+    and every line in one block give what one line_points call over every
+    line gives."""
+    rng = np.random.default_rng(7)
+    sp = affine_space(7, 3)
+    fam = LineFamily(sp, sp.all_lines()[rng.choice(n_lines(7), 500, replace=False)])
+    P = PointSet.from_mask(7, 3, rng.random(7 ** 3) < 0.3)
+    on = sp.line_points(*fam.lines.T)
+    plane = affine_space(7, 2)
+    planar = LineFamily(plane, plane.all_lines()[::3])
+    want_cover = cover_fraction_check(7, lines=planar)
+    monkeypatch.setattr(gf, "BLOCK_BYTES", block_bytes)
+    assert np.flatnonzero(fam.union_points().mask).tolist() == np.unique(on).tolist()
+    assert count_incidences(P, fam).incidences == int(P.mask[on].sum())
+    assert cover_fraction_check(7, lines=planar) == want_cover
+    assert want_cover["covered"] == len(np.unique(plane.line_points(*planar.lines.T)))
 
 
 def test_count_incidences_mismatch():

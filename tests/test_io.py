@@ -323,3 +323,55 @@ def test_io_and_verifiers_import_no_peak_memory_traps():
     proc = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == []
+
+
+_LOAD_CHILD = """
+import json, sys
+from fqgeom.geom import LineFamily, affine_space
+from fqgeom.io import load_linefamily, save_linefamily
+
+def status(key):
+    # VmHWM is this process's own peak, which ru_maxrss is not
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+sp = affine_space(4, 3)
+save_linefamily(LineFamily(sp, sp.all_lines()), sys.argv[2])
+load_linefamily(sys.argv[2])  # warm numpy's loops
+before = status("VmRSS")
+fam = load_linefamily(sys.argv[1])
+print(json.dumps({"ids_bytes": fam.lines.nbytes, "grown_kb": status("VmHWM") - before}))
+"""
+
+
+def test_load_linefamily_memory_bound(tmp_path):
+    """Loading 90,000 seeded lines of AG(3,49), about as many as the affine
+    chart of the q = 49, alpha = 1/8 tangent family has ((L, 2) ids 1.4 MB),
+    grows the process's peak by less than 12 times their ids: each block of
+    rows becomes (direction, least point) rows as it is read, by line_base.
+    Listing the q points of every line to take their least grew it by
+    about 80 times."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import fqgeom
+
+    sp = affine_space(49, 3)
+    rng = np.random.default_rng(49)
+    dirs, pts = rng.integers(0, sp.ndirs, 90000), rng.integers(0, 49 ** 3, 90000)
+    # a line's least point is its point with x_m = 0, m its direction's base axis
+    low = 49 ** sp.base_axis[dirs]
+    fam = LineFamily(sp, np.stack([dirs, pts - pts // low % 49 * low], axis=1))
+    path = tmp_path / "lines.lines"
+    save_linefamily(fam, str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_CHILD, str(path), str(tmp_path / "warm.lines")],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["ids_bytes"] == fam.lines.nbytes > 89000 * 16
+    assert out["grown_kb"] * 1024 < 12 * out["ids_bytes"]
+    assert np.array_equal(load_linefamily(str(path)).lines, fam.lines)

@@ -1,6 +1,7 @@
 """The elimination in linalg against brute force over small fields: every
 one of the q^cols vectors is tested for membership in the kernel."""
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -14,9 +15,15 @@ QS = [2, 3, 4, 5, 8, 9]
 
 
 def matrices(q):
-    """Seeded matrices with at most 4 columns, plus an empty and a zero one."""
+    """Seeded matrices with at most 4 columns, plus an empty one, and in
+    four shapes a zero matrix and one with a zero leading column."""
     rng = random.Random(q)
-    out = [np.zeros((0, 3), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)]
+    out = [np.zeros((0, 3), dtype=np.int64)]
+    for rows, cols in [(2, 4), (1, 3), (3, 3), (4, 2)]:
+        out.append(np.zeros((rows, cols), dtype=np.int64))
+        lead = np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
+        lead[:, 0] = 0
+        out.append(lead)
     for _ in range(8):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
@@ -99,7 +106,14 @@ def test_delayed_reduction_matches_gauss_jordan(p):
     ctx = field_of_order(p)
     rng = np.random.default_rng(p)
     low = (rng.integers(0, p, (60, 25)) @ rng.integers(0, p, (25, 40))) % p
-    for mat in (rng.integers(0, p, (40, 60)), rng.integers(0, p, (60, 40)), low):
+    large = (rng.integers(0, p, (40, 60)), rng.integers(0, p, (60, 40)), low)
+    # full-rank and rank-deficient 12 x 16 matrices: a product of rank 5,
+    # three zero leading columns, and the zero matrix
+    small = rng.integers(0, p, (6, 12, 16))
+    small[1] = (rng.integers(0, p, (12, 5)) @ rng.integers(0, p, (5, 16))) % p
+    small[2, :, :3] = 0
+    small[3] = 0
+    for mat in (*large, *small):
         red, mask = rref(mat, ctx)
         want, want_pivots = gauss_jordan(mat.tolist(), p)
         assert np.flatnonzero(mask).tolist() == want_pivots
@@ -107,54 +121,17 @@ def test_delayed_reduction_matches_gauss_jordan(p):
         kernel = nullspace(mat, ctx)
         assert len(kernel) == mat.shape[1] - len(want_pivots)
         assert not ((mat @ kernel.T) % p).any()
-    # a stack of full-rank and rank-deficient 12 x 16 matrices: the bound
-    # on the unreduced entries holds per matrix, whatever the others' ranks
-    stack = rng.integers(0, p, (6, 12, 16))
-    stack[1] = (rng.integers(0, p, (12, 5)) @ rng.integers(0, p, (5, 16))) % p
-    stack[2, :, :3] = 0
-    stack[3] = 0
-    red, mask = rref(stack, ctx)
-    kernels = nullspace(stack, ctx)
-    for mat, r, m, k in zip(stack, red, mask, kernels):
-        want, want_pivots = gauss_jordan(mat.tolist(), p)
-        assert r.tolist() == want
-        assert np.flatnonzero(m).tolist() == want_pivots
-        dim = mat.shape[1] - len(want_pivots)
-        assert not ((mat @ k[:dim].T) % p).any() and not k[dim:].any()
 
 
-@pytest.mark.parametrize("q", QS)
-def test_stack_matches_single_matrices(q):
-    """rref and nullspace of a stack, item by item, equal those of each
-    matrix alone; a stack mixes ranks and pivot columns, and an item with a
-    smaller kernel than the largest has zero rows after its basis."""
+@pytest.mark.parametrize("q", [5, 9])
+def test_refuses_anything_but_one_matrix(q):
+    """rref and nullspace take one (r, c) matrix; a stack or a vector is a
+    ValueError that names its shape."""
     ctx = field_of_order(q)
-    rng = np.random.default_rng(q)
-    for rows, cols in [(2, 4), (1, 3), (3, 3), (4, 2)]:
-        stack = rng.integers(0, q, (12, rows, cols))
-        stack[1, :, 0] = 0                  # a zero leading column
-        stack[2, :, :2] = 0
-        stack[3, -1] = stack[3, 0]          # a repeated row
-        stack[4] = 0                        # the zero matrix
-        stack[5, 0] = 0
-        before = stack.copy()
-        nested = stack.reshape(2, 6, rows, cols)
-        for mats in (stack, nested[:, :3], stack[:0], nested[:, :0]):
-            red, mask = rref(mats, ctx)
-            kernels = nullspace(mats, ctx)
-            assert red.shape == mats.shape and mask.shape == mats.shape[:-2] + (cols,)
-            flat = mats.reshape(-1, rows, cols)
-            dim = cols - min([rows, cols] + [np.count_nonzero(rref(m, ctx)[1]) for m in flat])
-            assert kernels.shape == mats.shape[:-2] + (dim, cols)
-            for i, m in enumerate(flat):
-                one, one_mask = rref(m, ctx)
-                kernel = nullspace(m, ctx)
-                assert np.array_equal(red.reshape(flat.shape)[i], one)
-                assert np.array_equal(mask.reshape(-1, cols)[i], one_mask)
-                got = kernels.reshape(-1, dim, cols)[i]
-                assert np.array_equal(got[:len(kernel)], kernel)
-                assert not got[len(kernel):].any()
-        assert np.array_equal(stack, before)
+    for bad in (np.zeros((3, 2, 4), dtype=np.int64), np.zeros(4, dtype=np.int64)):
+        for fn in (rref, nullspace):
+            with pytest.raises(ValueError, match=re.escape(f"not shape {bad.shape}")):
+                fn(bad, ctx)
 
 
 def _extension_matrix(q, rows, cols, rng):
@@ -190,8 +167,8 @@ def field_gauss_jordan(mat, ctx):
 
 @pytest.mark.parametrize("q, rows, cols", [(4, 150, 300), (8, 100, 100), (9, 140, 141)])
 def test_extension_matches_row_reduction(q, rows, cols):
-    """One GF(p^k) matrix, eliminated as a stack of one, equals byte for
-    byte a row-at-a-time Gauss-Jordan elimination, and its kernel basis
+    """One GF(p^k) matrix, eliminated through the field tables, equals byte
+    for byte a row-at-a-time Gauss-Jordan elimination, and its kernel basis
     is killed by the matrix."""
     ctx = field_of_order(q)
     mat = _extension_matrix(q, rows, cols, np.random.default_rng(q))
